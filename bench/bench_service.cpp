@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -143,13 +144,20 @@ int main(int argc, char** argv) {
   std::thread loop([&] { server.run(pricing); });
 
   // One pipelined client per tenant; responses arrive in request order.
+  // All connect before any sends: the idle stop ends the loop once the
+  // connection count drops to zero, so a tenant finishing before another
+  // has connected would strand the late one.
   std::vector<std::vector<cds::SpreadResult>> responses(n_tenants);
   const auto t0 = std::chrono::steady_clock::now();
+  std::vector<net::Client> connected;
+  for (std::size_t t = 0; t < n_tenants; ++t) {
+    connected.push_back(net::Client::connect_unix(socket_path));
+  }
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < n_tenants; ++t) {
     clients.emplace_back([&, t] {
       const auto tenant = static_cast<std::uint32_t>(t + 1);
-      net::Client client = net::Client::connect_unix(socket_path);
+      net::Client client = std::move(connected[t]);
       std::size_t n_requests = 0;
       for (const auto& step : feeds[t]) {
         if (step.quote) {

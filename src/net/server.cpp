@@ -8,7 +8,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -24,19 +23,44 @@ void set_nonblocking(int fd) {
                  "fcntl(O_NONBLOCK) failed");
 }
 
+int open_reserve_fd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
 }  // namespace
+
+Waker::Waker() {
+  int pipe_fds[2];
+  CDSFLOW_EXPECT(::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) == 0,
+                 std::string("wake pipe creation failed: ") +
+                     std::strerror(errno));
+  read_fd_ = pipe_fds[0];
+  write_fd_ = pipe_fds[1];
+}
+
+Waker::~Waker() {
+  ::close(read_fd_);
+  ::close(write_fd_);
+}
+
+void Waker::wake() const {
+  const char byte = 0;
+  // EAGAIN: the pipe is full, so a wake is already pending.
+  [[maybe_unused]] const auto n = ::write(write_fd_, &byte, 1);
+}
+
+void Waker::drain() const {
+  char bytes[64];
+  while (::read(read_fd_, bytes, sizeof(bytes)) > 0) {
+  }
+}
 
 void ServerHandler::on_malformed(Server&, int, const std::string&) {}
 void ServerHandler::on_tick(Server&) {}
 void ServerHandler::on_disconnect(int) {}
 
-Server::Server(ServerConfig config) : config_(std::move(config)) {
-  int pipe_fds[2];
-  CDSFLOW_EXPECT(::pipe(pipe_fds) == 0, "self-pipe creation failed");
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  set_nonblocking(wake_read_fd_);
-
+Server::Server(ServerConfig config)
+    : config_(std::move(config)),
+      reserve_fd_(open_reserve_fd()),
+      waker_(std::make_shared<Waker>()) {
   if (!config_.unix_path.empty()) {
     CDSFLOW_EXPECT(config_.unix_path.size() < sizeof(sockaddr_un{}.sun_path),
                    "unix socket path too long");
@@ -79,15 +103,13 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
 Server::~Server() {
   for (const auto& [fd, conn] : connections_) ::close(fd);
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+  if (reserve_fd_ >= 0) ::close(reserve_fd_);
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 }
 
 void Server::stop() {
-  const char byte = 0;
-  // Best-effort: a full pipe already guarantees a pending wakeup.
-  [[maybe_unused]] const auto n = ::write(wake_write_fd_, &byte, 1);
+  stop_requested_.store(true, std::memory_order_release);
+  waker_->wake();
 }
 
 void Server::send(int conn, const std::vector<std::uint8_t>& bytes) {
@@ -102,12 +124,30 @@ void Server::close_connection(int conn) {
   if (it != connections_.end()) it->second.closing = true;
 }
 
-void Server::accept_ready(ServerHandler&) {
+void Server::accept_ready() {
+  // A reserve lost to another thread at EMFILE is retaken here once the
+  // table has room again.
+  if (reserve_fd_ < 0) reserve_fd_ = open_reserve_fd();
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) break;  // EAGAIN: backlog drained
-    set_nonblocking(fd);
-    connections_.emplace(fd, Connection{});
+    if (fd >= 0) {
+      set_nonblocking(fd);
+      connections_.emplace(fd, Connection{});
+      continue;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // backlog drained
+    if (errno == EINTR || errno == ECONNABORTED) continue;
+    CDSFLOW_EXPECT(errno == EMFILE || errno == ENFILE,
+                   std::string("accept failed: ") + std::strerror(errno));
+    // Out of descriptors: the pending connection keeps the listener
+    // readable, so leaving it queued would spin the loop. Spend the
+    // reserve to accept and refuse it, then take the reserve back.
+    if (reserve_fd_ < 0) return;
+    ::close(reserve_fd_);
+    const int refused = ::accept(listen_fd_, nullptr, nullptr);
+    if (refused >= 0) ::close(refused);
+    reserve_fd_ = open_reserve_fd();
+    if (refused < 0) return;
   }
 }
 
@@ -168,14 +208,11 @@ void Server::teardown(ServerHandler& handler, int fd, bool notify) {
 }
 
 void Server::run(ServerHandler& handler) {
-  stopping_ = false;
-  const int timeout_ms =
-      std::max(1, static_cast<int>(config_.tick_us / 1000));
   std::vector<pollfd> fds;
   std::vector<int> dead;
-  while (!stopping_) {
+  while (!stop_requested_.load(std::memory_order_acquire)) {
     fds.clear();
-    fds.push_back({wake_read_fd_, POLLIN, 0});
+    fds.push_back({waker_->read_fd(), POLLIN, 0});
     fds.push_back({listen_fd_, POLLIN, 0});
     for (const auto& [fd, conn] : connections_) {
       short events = POLLIN;
@@ -184,20 +221,18 @@ void Server::run(ServerHandler& handler) {
       }
       fds.push_back({fd, events, 0});
     }
-    const int rc = ::poll(fds.data(), fds.size(), timeout_ms);
+    // No timeout: only I/O or a wake (stop() included) ends the wait.
+    const int rc = ::poll(fds.data(), fds.size(), -1);
     if (rc < 0) {
       CDSFLOW_EXPECT(errno == EINTR,
                      std::string("poll failed: ") + std::strerror(errno));
       continue;
     }
 
-    if ((fds[0].revents & POLLIN) != 0) {
-      char drain[64];
-      while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
-      }
-      stopping_ = true;
-    }
-    if ((fds[1].revents & POLLIN) != 0) accept_ready(handler);
+    // Drain before on_tick(): a wake written after this drain stays
+    // pending and ends the next poll(), so none is lost.
+    if ((fds[0].revents & POLLIN) != 0) waker_->drain();
+    if ((fds[1].revents & POLLIN) != 0) accept_ready();
 
     for (std::size_t i = 2; i < fds.size(); ++i) {
       const int fd = fds[i].fd;

@@ -16,6 +16,12 @@ namespace stream_detail {
 void BatchCollector::put(BatchResult result) {
   MutexLock lock(mutex_);
   results_.push_back(std::move(result));
+  if (notify_) notify_();
+}
+
+void BatchCollector::set_notifier(std::function<void()> notify) {
+  MutexLock lock(mutex_);
+  notify_ = std::move(notify);
 }
 
 std::vector<BatchResult> BatchCollector::take() {
@@ -328,6 +334,10 @@ std::vector<stream_detail::BatchResult> StreamRuntime::poll_batches() {
   auto ready = collector_.peek_ready(next_polled_batch_);
   next_polled_batch_ += ready.size();
   return ready;
+}
+
+void StreamRuntime::set_completion_notifier(std::function<void()> notify) {
+  collector_.set_notifier(std::move(notify));
 }
 
 StreamReport StreamRuntime::play(

@@ -22,7 +22,8 @@
 ///                  (StreamPricer replica)    then update *every* replica
 ///                           |                incrementally
 ///                  BatchCollector.put(index, results)
-///                           |
+///                           |  then the completion notifier, if set
+///                           |  (the service's wake of its poll loop)
 ///                  finish(): concatenate batches in index order
 ///                  == event ingest order, whatever order lanes finished in
 ///
@@ -54,6 +55,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -155,8 +157,14 @@ struct BatchResult {
 /// batch runtime's shard merge.
 class BatchCollector {
  public:
-  /// Any lane, any order. Indices must be unique.
+  /// Any lane, any order. Indices must be unique. Stores the batch, then
+  /// calls the notifier (under the lock, so it never runs after a
+  /// set_notifier() that replaced it).
   void put(BatchResult result) CDSFLOW_EXCLUDES(mutex_);
+  /// Installs the callback put() makes after each stored batch; empty
+  /// clears it. It must be cheap, must not block and must not call back
+  /// into the collector.
+  void set_notifier(std::function<void()> notify) CDSFLOW_EXCLUDES(mutex_);
   /// Hands back all batches sorted by index; asserts they are the
   /// contiguous range 0..n-1 (no batch lost, none duplicated).
   std::vector<BatchResult> take() CDSFLOW_EXCLUDES(mutex_);
@@ -171,6 +179,7 @@ class BatchCollector {
  private:
   mutable Mutex mutex_;
   std::vector<BatchResult> results_ CDSFLOW_GUARDED_BY(mutex_);
+  std::function<void()> notify_ CDSFLOW_GUARDED_BY(mutex_);
 };
 
 }  // namespace stream_detail
@@ -214,6 +223,14 @@ class StreamRuntime {
   /// event-order result stream incrementally (same determinism guarantee as
   /// finish(), see file header). Call from one consumer thread.
   std::vector<stream_detail::BatchResult> poll_batches();
+
+  /// Session hook: `notify` runs on a lane thread right after each
+  /// completed micro-batch is stored, so a poll_batches() that starts
+  /// after the notification observes that batch (put -> notify ordering;
+  /// the batch is handed back once its contiguous prefix is complete).
+  /// Thread-safe, replaces any earlier notifier. Same contract as
+  /// BatchCollector::set_notifier: cheap, non-blocking, no re-entry.
+  void set_completion_notifier(std::function<void()> notify);
 
   unsigned lanes() const { return lanes_; }
   bool risk_mode() const { return pricer_config_.risk_mode; }

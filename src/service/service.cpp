@@ -93,8 +93,17 @@ void PricingService::send_reject(net::Server& server, int conn,
                                        clip_detail(std::move(detail))));
 }
 
+void PricingService::bind_waker(const net::Server& server) {
+  if (waker_ == server.waker()) return;
+  waker_ = server.waker();
+  for (auto& [id, tenant] : sessions_) {
+    tenant->set_completion_notifier([waker = waker_] { waker->wake(); });
+  }
+}
+
 void PricingService::on_frame(net::Server& server, int conn,
                               net::Frame frame) {
+  bind_waker(server);
   ++stats_.frames;
   switch (frame.type) {
     case net::FrameType::kQuoteUpdate: {
@@ -206,6 +215,7 @@ void PricingService::send_completed(
 }
 
 void PricingService::on_tick(net::Server& server) {
+  bind_waker(server);
   const double now = now_seconds();
   std::size_t pending = 0;
   for (auto& [id, tenant] : sessions_) {

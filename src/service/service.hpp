@@ -15,8 +15,16 @@
 ///      v                 v
 ///   tenant StreamRuntime ingest (frame order)
 ///      |
+///   lane finishes a micro-batch: BatchCollector::put, then the server's
+///   Waker::wake() -- poll() returns, the loop drains the wake pipe
+///      |
 ///   on_tick: poll_batches -> per-request result spans -> kResult frames
 ///            (status byte says on-time vs deferred)
+///
+/// Every tenant's completion notifier is bound to the server's Waker the
+/// first time on_frame() or on_tick() hands the service a Server&, so the
+/// service may be built before its server; no work can reach a runtime
+/// before that first on_frame().
 ///
 /// Reject taxonomy (net::RejectReason): codec-level poisoning is kMalformed
 /// with connection teardown (nothing behind a framing error is trustworthy);
@@ -101,6 +109,9 @@ class PricingService : public net::ServerHandler {
   void send_completed(net::Server& server,
                       const std::vector<TenantSession::Completed>& batch,
                       std::uint32_t tenant);
+  /// Points every tenant's completion notifier at `server`'s Waker (once
+  /// per server).
+  void bind_waker(const net::Server& server);
 
   ServiceConfig config_;
   /// Loop-thread-confined, not lock-guarded: the session registry and the
@@ -113,6 +124,9 @@ class PricingService : public net::ServerHandler {
   std::map<std::uint32_t, std::unique_ptr<TenantSession>> sessions_;
   ServiceStats stats_;
   std::chrono::steady_clock::time_point epoch_;
+  /// The Waker the tenants' notifiers hold (kept so a rebind is detected
+  /// without address reuse fooling it).
+  std::shared_ptr<net::Waker> waker_;
   bool saw_connection_ = false;
   bool drained_ = false;
 };

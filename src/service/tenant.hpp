@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,13 @@ class TenantSession {
   /// request whose full result span is now available, in request order.
   std::vector<Completed> poll(double now_seconds);
 
+  /// Calls `notify` on a runtime lane after each completed micro-batch
+  /// (StreamRuntime::set_completion_notifier); the service passes its
+  /// server's wake so poll() runs as soon as results exist.
+  void set_completion_notifier(std::function<void()> notify) {
+    runtime_.set_completion_notifier(std::move(notify));
+  }
+
   /// Closes the runtime, drains it and completes all remaining requests.
   /// Call once, after which the session is done.
   std::vector<Completed> drain(double now_seconds);
@@ -119,9 +127,10 @@ class TenantSession {
   std::deque<Pending> pending_;
   /// Runtime results harvested but not yet assigned to a request, in event
   /// order (the stream between the last completed request and the newest
-  /// polled batch).
-  std::vector<cds::SpreadResult> buffered_results_;
-  std::vector<cds::Sensitivities> buffered_greeks_;
+  /// polled batch). Deques: complete_ready() consumes from the front, which
+  /// must not shift the rest of a long backlog.
+  std::deque<cds::SpreadResult> buffered_results_;
+  std::deque<cds::Sensitivities> buffered_greeks_;
   /// Option events already sliced into completed requests (offset of
   /// buffered_results_[0] within the runtime's full result stream).
   std::size_t consumed_events_ = 0;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -115,15 +116,17 @@ SlicedFeed slice_feed(const std::vector<workload::QuoteFeedEvent>& feed,
 
 /// Drives one tenant's sliced feed through a connected client (pipelined:
 /// all frames out, then all results in) and returns the concatenated
-/// results in request order.
+/// results in request order. Takes a connected client so multi-client
+/// callers can connect everyone first: an idle-stopping service stops as
+/// soon as its connections drop to zero, so a client that finishes before
+/// another has connected would end the loop under the late one.
 struct ReplayOutcome {
   std::vector<cds::SpreadResult> results;
   std::vector<cds::Sensitivities> greeks;
 };
 
-ReplayOutcome replay_over_socket(const std::string& path, std::uint32_t tenant,
+ReplayOutcome replay_over_socket(net::Client client, std::uint32_t tenant,
                                  const SlicedFeed& sliced, bool risk) {
-  net::Client client = net::Client::connect_unix(path);
   for (const auto& step : sliced.steps) {
     if (step.quote) {
       client.send(net::encode_quote_update(tenant, step.knot, step.rate));
@@ -205,13 +208,22 @@ TEST(ServiceLoopback, BitIdenticalToDirectRuntimeAcrossTenantsAndArrivalOrder) {
     service::PricingService pricing(config, test_interest(), test_hazard());
     std::thread loop([&] { server.run(pricing); });
 
-    std::vector<ReplayOutcome> outcomes(tenant_ids.size());
-    std::vector<std::thread> clients;
+    // Every client connects, in this pass's order, before any replays.
+    std::vector<net::Client> connected;
+    std::vector<std::size_t> order;
     for (std::size_t i = 0; i < tenant_ids.size(); ++i) {
       const std::size_t at =
           pass == 0 ? i : tenant_ids.size() - 1 - i;  // reversed second pass
-      clients.emplace_back([&, at] {
-        outcomes[at] = replay_over_socket(path, tenant_ids[at], feeds[at],
+      connected.push_back(net::Client::connect_unix(path));
+      order.push_back(at);
+    }
+    std::vector<ReplayOutcome> outcomes(tenant_ids.size());
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      clients.emplace_back([&, i] {
+        const std::size_t at = order[i];
+        outcomes[at] = replay_over_socket(std::move(connected[i]),
+                                          tenant_ids[at], feeds[at],
                                           /*risk=*/false);
       });
     }
@@ -244,7 +256,8 @@ TEST(ServiceLoopback, RiskTenantResponsesBitIdenticalToDirectRuntime) {
   std::thread loop([&] { server.run(pricing); });
 
   const ReplayOutcome outcome =
-      replay_over_socket(path, tenant, sliced, /*risk=*/true);
+      replay_over_socket(net::Client::connect_unix(path), tenant, sliced,
+                         /*risk=*/true);
   loop.join();
 
   const auto direct = replay_direct(sliced, small_stream("cpu-batch-risk"));

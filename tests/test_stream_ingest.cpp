@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <thread>
@@ -543,6 +544,45 @@ TEST(StreamRuntime, PollBatchesHarvestsEachBatchExactlyOnceInOrder) {
     EXPECT_EQ(polled[i].spread_bps, report.run.results[i].spread_bps)
         << "at " << i;
   }
+}
+
+TEST(StreamRuntime, CompletionNotifierFiresOnlyAfterTheBatchIsPollable) {
+  const auto interest = test_interest();
+  const auto hazard = test_hazard();
+  runtime::StreamConfig cfg;
+  cfg.lanes = 1;  // batches complete in index order: each one is pollable
+  cfg.max_batch = 4;
+  cfg.max_wait_us = 100;
+  runtime::StreamRuntime rt(interest, hazard, cfg);
+  std::atomic<std::size_t> notified{0};
+  rt.set_completion_notifier(
+      [&notified] { notified.fetch_add(1, std::memory_order_release); });
+
+  constexpr std::size_t kOptions = 64;
+  for (std::size_t i = 0; i < kOptions; ++i) {
+    ASSERT_TRUE(rt.push(option_with_id(static_cast<std::int32_t>(i))));
+  }
+
+  // Put -> notify: once the notifier has fired N times, poll_batches has
+  // handed back at least N batches, in index order.
+  std::size_t polled_events = 0;
+  std::size_t next_index = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (polled_events < kOptions) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "poll_batches never surfaced all batches";
+    const std::size_t fired = notified.load(std::memory_order_acquire);
+    for (const auto& batch : rt.poll_batches()) {
+      EXPECT_EQ(batch.index, next_index) << "batch replayed or skipped";
+      ++next_index;
+      polled_events += batch.results.size();
+    }
+    ASSERT_GE(next_index, fired) << "notified before the batch was stored";
+  }
+  const auto report = rt.finish();
+  EXPECT_EQ(notified.load(), report.batches.size());
+  EXPECT_EQ(next_index, report.batches.size());
 }
 
 TEST(StreamRuntime, RejectsNonCpuEngines) {
