@@ -36,6 +36,7 @@ GridSums checked_grid_sums(const LegSums& sums) {
 
 GridSums tabulate_grid(const TermStructure& interest,
                        const HazardPrefix& hazard_prefix,
+                       const simd::CurveTables& tables,
                        std::span<const TimePoint> points,
                        std::span<double> discount, std::span<double> survival,
                        std::span<double> default_mass, bool refresh_discount,
@@ -49,8 +50,8 @@ GridSums tabulate_grid(const TermStructure& interest,
     // via the scalar reduction above. Where the SIMD tier resolves back to
     // kScalar the column values are the reference ones, so this branch is
     // then bit-identical to the fused walk below.
-    simd::tabulate_columns(interest, hazard_prefix, points, discount, survival,
-                           refresh_discount, level);
+    simd::tabulate_columns(interest, hazard_prefix, tables, points, discount,
+                           survival, refresh_discount, level);
     double q_prev = 1.0;
     for (std::size_t i = 0; i < points.size(); ++i) {
       default_mass[i] = q_prev - survival[i];
@@ -98,13 +99,53 @@ void BatchPricer::Workspace::clear() {
                   // allocation-free
 }
 
+RiskCurveSet::RiskCurveSet(const TermStructure& interest,
+                           const TermStructure& hazard,
+                           BatchRiskConfig risk_config)
+    : config(std::move(risk_config)) {
+  const double bump = config.bump;
+  CDSFLOW_EXPECT(bump > 0.0 && std::isfinite(bump),
+                 "sensitivity bump must be positive and finite");
+  const std::vector<double>& edges = config.ladder_edges;
+  if (!edges.empty()) validate_ladder_edges(edges);
+  hazard_up = make_hazard_prefix(parallel_bump(hazard, bump));
+  hazard_dn = make_hazard_prefix(parallel_bump(hazard, -bump));
+  interest_up = parallel_bump(interest, bump);
+  interest_dn = parallel_bump(interest, -bump);
+  const std::size_t n_buckets = edges.empty() ? 0 : edges.size() - 1;
+  bucket_up.reserve(n_buckets);
+  bucket_dn.reserve(n_buckets);
+  for (std::size_t b = 0; b < n_buckets; ++b) {
+    bucket_up.push_back(make_hazard_prefix(
+        bucket_bump(hazard, edges[b], edges[b + 1], bump)));
+    bucket_dn.push_back(make_hazard_prefix(
+        bucket_bump(hazard, edges[b], edges[b + 1], -bump)));
+  }
+  // Every bumped column searches through the base curves' knot tables,
+  // which is exact only over the base knot times.
+  bool same_times = interest_up.times() == interest.times() &&
+                    interest_dn.times() == interest.times() &&
+                    hazard_up.times == hazard.times() &&
+                    hazard_dn.times == hazard.times();
+  for (std::size_t b = 0; b < n_buckets; ++b) {
+    same_times = same_times && bucket_up[b].times == hazard.times() &&
+                 bucket_dn[b].times == hazard.times();
+  }
+  CDSFLOW_ASSERT(same_times, "bumped curves must keep the base knot times");
+}
+
 BatchPricer::BatchPricer(TermStructure interest, TermStructure hazard,
-                         simd::Level kernel_level)
+                         simd::Level kernel_level,
+                         std::shared_ptr<const simd::CurveTables> tables)
     : interest_(std::move(interest)),
       hazard_(std::move(hazard)),
       hazard_prefix_(make_hazard_prefix(hazard_)),
-      kernel_level_(simd::resolve_level(kernel_level)) {
+      kernel_level_(simd::resolve_level(kernel_level)),
+      tables_(std::move(tables)) {
   interest_.validate();
+  if (!tables_) {
+    tables_ = simd::make_curve_tables(interest_, hazard_, kernel_level_);
+  }
 }
 
 void BatchPricer::RiskWorkspace::clear() {
@@ -173,9 +214,9 @@ BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
     ws.discount.resize(arena);
     ws.survival.resize(arena);
     ws.default_mass.resize(arena);
-    simd::tabulate_columns(interest_, hazard_prefix_, ws.points, ws.discount,
-                           ws.survival, /*refresh_discount=*/true,
-                           kernel_level_);
+    simd::tabulate_columns(interest_, hazard_prefix_, *tables_, ws.points,
+                           ws.discount, ws.survival,
+                           /*refresh_discount=*/true, kernel_level_);
     for (std::size_t g = 0; g < n_grids; ++g) {
       const std::size_t begin = ws.grid_offset[g];
       const std::size_t end = g + 1 < n_grids ? ws.grid_offset[g + 1] : arena;
@@ -212,7 +253,7 @@ BatchStats BatchPricer::build_grids(std::span<const CdsOption> options,
     ws.survival.resize(offset + n_points);
     ws.default_mass.resize(offset + n_points);
     const detail::GridSums sums = detail::tabulate_grid(
-        interest_, hazard_prefix_,
+        interest_, hazard_prefix_, *tables_,
         std::span<const TimePoint>(ws.points).subspan(offset, n_points),
         std::span<double>(ws.discount).subspan(offset, n_points),
         std::span<double>(ws.survival).subspan(offset, n_points),
@@ -278,46 +319,43 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
     std::span<const CdsOption> options, std::span<Sensitivities> out,
     std::span<double> ladder_out, RiskWorkspace& ws,
     const BatchRiskConfig& config) const {
+  return price_with_sensitivities(options, out, ladder_out, ws,
+                                  RiskCurveSet(interest_, hazard_, config));
+}
+
+BatchRiskStats BatchPricer::price_with_sensitivities(
+    std::span<const CdsOption> options, std::span<Sensitivities> out,
+    std::span<double> ladder_out, RiskWorkspace& ws,
+    const RiskCurveSet& curves) const {
   CDSFLOW_EXPECT(out.size() == options.size(),
                  "batch risk needs out.size() == options.size()");
-  const double bump = config.bump;
-  CDSFLOW_EXPECT(bump > 0.0 && std::isfinite(bump),
-                 "sensitivity bump must be positive and finite");
-  std::size_t n_buckets = 0;
-  if (!config.ladder_edges.empty()) {
-    validate_ladder_edges(config.ladder_edges);
-    n_buckets = config.ladder_edges.size() - 1;
-  }
+  const std::size_t n_buckets = curves.buckets();
   CDSFLOW_EXPECT(ladder_out.size() == options.size() * n_buckets,
                  "batch risk needs ladder_out.size() == options * buckets");
+  // The set's bumped curves share its base knot times (asserted when it was
+  // built), so matching them here is what lets every bumped column search
+  // through this pricer's tables.
+  CDSFLOW_ASSERT(curves.hazard_up.times == hazard_prefix_.times &&
+                     curves.interest_up.times() == interest_.times(),
+                 "risk curve set was built over different knot times");
+  const double bump = curves.config.bump;
 
   ws.clear();
   BatchRiskStats stats;
   stats.base = build_grids(options, ws.base);
   if (options.empty()) return stats;
 
-  // The bumped curves are built once per *batch*; the scalar loop rebuilds
-  // them once per option. A hazard bump never moves the discount column and
-  // an interest bump never moves the survival column, so each scenario only
-  // re-tabulates the column its bump touches and borrows the other from the
-  // base grids.
-  const HazardPrefix hazard_up =
-      make_hazard_prefix(parallel_bump(hazard_, bump));
-  const HazardPrefix hazard_dn =
-      make_hazard_prefix(parallel_bump(hazard_, -bump));
-  const TermStructure interest_up = parallel_bump(interest_, bump);
-  const TermStructure interest_dn = parallel_bump(interest_, -bump);
-  std::vector<HazardPrefix> bucket_up, bucket_dn;
-  bucket_up.reserve(n_buckets);
-  bucket_dn.reserve(n_buckets);
-  for (std::size_t b = 0; b < n_buckets; ++b) {
-    const double lo = config.ladder_edges[b];
-    const double hi = config.ladder_edges[b + 1];
-    bucket_up.push_back(
-        make_hazard_prefix(bucket_bump(hazard_, lo, hi, bump)));
-    bucket_dn.push_back(
-        make_hazard_prefix(bucket_bump(hazard_, lo, hi, -bump)));
-  }
+  // The bumped curves were built once per risk configuration; the scalar
+  // loop rebuilds them once per option. A hazard bump never moves the
+  // discount column and an interest bump never moves the survival column,
+  // so each scenario only re-tabulates the column its bump touches and
+  // borrows the other from the base grids.
+  const HazardPrefix& hazard_up = curves.hazard_up;
+  const HazardPrefix& hazard_dn = curves.hazard_dn;
+  const TermStructure& interest_up = curves.interest_up;
+  const TermStructure& interest_dn = curves.interest_dn;
+  const std::vector<HazardPrefix>& bucket_up = curves.bucket_up;
+  const std::vector<HazardPrefix>& bucket_dn = curves.bucket_dn;
 
   // Pass 2b -- per unique grid: tabulate every bumped scenario's leg sums
   // in one walk over the grid's points, each scenario accumulating in the
@@ -372,17 +410,21 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
     };
 
     // Hazard parallel bumps: base discount, bumped survival.
-    simd::survival_column(hazard_up, points, col, kernel_level_);
+    const simd::KnotSearchTable& hazard_table = tables_->hazard;
+    const simd::KnotSearchTable& interest_table = tables_->interest;
+    simd::survival_column(hazard_up, hazard_table, points, col, kernel_level_);
     reduce_all(ws.base.discount, col,
                push_into(ws.annuity_hazard_up, ws.payoff_hazard_up));
-    simd::survival_column(hazard_dn, points, col, kernel_level_);
+    simd::survival_column(hazard_dn, hazard_table, points, col, kernel_level_);
     reduce_all(ws.base.discount, col,
                push_into(ws.annuity_hazard_dn, ws.payoff_hazard_dn));
     // Interest parallel bumps: bumped discount, base survival.
-    simd::discount_column(interest_up, points, col, kernel_level_);
+    simd::discount_column(interest_up, interest_table, points, col,
+                          kernel_level_);
     reduce_all(col, ws.base.survival,
                push_into(ws.annuity_interest_up, ws.payoff_interest_up));
-    simd::discount_column(interest_dn, points, col, kernel_level_);
+    simd::discount_column(interest_dn, interest_table, points, col,
+                          kernel_level_);
     reduce_all(col, ws.base.survival,
                push_into(ws.annuity_interest_dn, ws.payoff_interest_dn));
     // Ladder bucket bumps: base discount, bucket-bumped survival. The
@@ -393,13 +435,15 @@ BatchRiskStats BatchPricer::price_with_sensitivities(
     ws.ladder_annuity_dn.resize(n_grids * n_buckets);
     ws.ladder_payoff_dn.resize(n_grids * n_buckets);
     for (std::size_t b = 0; b < n_buckets; ++b) {
-      simd::survival_column(bucket_up[b], points, col, kernel_level_);
+      simd::survival_column(bucket_up[b], hazard_table, points, col,
+                            kernel_level_);
       reduce_all(ws.base.discount, col,
                  [&](std::size_t g, const detail::GridSums& s) {
                    ws.ladder_annuity_up[g * n_buckets + b] = s.annuity;
                    ws.ladder_payoff_up[g * n_buckets + b] = s.payoff;
                  });
-      simd::survival_column(bucket_dn[b], points, col, kernel_level_);
+      simd::survival_column(bucket_dn[b], hazard_table, points, col,
+                            kernel_level_);
       reduce_all(ws.base.discount, col,
                  [&](std::size_t g, const detail::GridSums& s) {
                    ws.ladder_annuity_dn[g * n_buckets + b] = s.annuity;

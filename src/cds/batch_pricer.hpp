@@ -38,8 +38,9 @@
 /// the *grids*, not the options:
 ///
 ///   - CS01 / IR01 / ladder: each parallel- or bucket-bumped curve is built
-///     once per batch, its D or Q column re-tabulated once per unique
-///     schedule grid, and the central difference collapses -- like the
+///     once per risk configuration (RiskCurveSet), its D or Q column
+///     re-tabulated once per unique schedule grid through the base curves'
+///     knot-search tables, and the central difference collapses -- like the
 ///     spread itself -- to an O(1) per-option combine. A hazard bump leaves
 ///     the discount column untouched (and vice versa), so each scenario
 ///     re-tabulates only the column its bump moves.
@@ -68,6 +69,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -124,11 +126,13 @@ struct GridSums {
 /// reference's diagnostic when the risky annuity is not positive.
 ///
 /// `level` above simd::Level::kScalar tabulates the columns with the SIMD
-/// kernels (column values within VectorKernelContract of the reference);
+/// kernels over the curves' knot-search `tables` (column values within
+/// VectorKernelContract of the reference; the scalar walk ignores them);
 /// the leg-sum reduction stays in the reference association order either
 /// way. The default reproduces the scalar walk exactly.
 GridSums tabulate_grid(const TermStructure& interest,
                        const HazardPrefix& hazard_prefix,
+                       const simd::CurveTables& tables,
                        std::span<const TimePoint> points,
                        std::span<double> discount, std::span<double> survival,
                        std::span<double> default_mass, bool refresh_discount,
@@ -177,6 +181,28 @@ struct BatchRiskConfig {
   /// CS01 ladder bucket edges, same contract as cs01_ladder (increasing, at
   /// least two when present). Empty disables the ladder.
   std::vector<double> ladder_edges;
+};
+
+/// The bumped curves of one BatchRiskConfig over one base curve pair:
+/// hazard +/- bump and interest +/- bump (parallel), plus an up/down hazard
+/// pair per ladder bucket, with the hazard prefixes built. They depend on
+/// the curves and the config only -- never on the book -- so an engine
+/// builds the set once per risk configuration and every batch and shard
+/// reuses it read-only (BatchPricer::price_with_sensitivities). Bumps move
+/// knot values, never knot times (cds/risk.hpp), so every bumped curve
+/// shares the base curves' knot-search tables; construction asserts it.
+/// Throws cdsflow::Error on a bad bump or ladder edges, like
+/// compute_sensitivities / cs01_ladder.
+struct RiskCurveSet {
+  RiskCurveSet(const TermStructure& interest, const TermStructure& hazard,
+               BatchRiskConfig risk_config);
+
+  std::size_t buckets() const { return bucket_up.size(); }
+
+  BatchRiskConfig config;
+  HazardPrefix hazard_up, hazard_dn;
+  TermStructure interest_up, interest_dn;
+  std::vector<HazardPrefix> bucket_up, bucket_dn;  ///< per ladder bucket
 };
 
 /// What one risk batch cost on top of the base pricing pass.
@@ -259,9 +285,15 @@ class BatchPricer {
     BatchRiskStats stats;
   };
 
-  /// Both curves are copied and the hazard prefix table is built once; the
-  /// pricer is immutable afterwards (safe to share across threads, each
-  /// thread bringing its own Workspace).
+  /// Both curves are copied and the hazard prefix table and the knot-search
+  /// tables (simd::CurveTables) are built once; the pricer is immutable
+  /// afterwards (safe to share across threads, each thread bringing its own
+  /// Workspace). Every column the pricer tabulates -- base grids, bumped
+  /// risk scenarios, sweep scenarios -- searches through those tables.
+  /// `tables` hands in tables already built for the same knot times (a
+  /// stream pricer rebuilding its risk pricer after a quote update); null
+  /// builds them here. At kScalar no column reads a table, so none is
+  /// built.
   ///
   /// `kernel_level` selects the SIMD tier of the tabulation/combine passes
   /// and is clamped to what the host supports (simd::resolve_level), so
@@ -269,12 +301,15 @@ class BatchPricer {
   /// CDSFLOW_SIMD environment override applies where engines construct the
   /// pricer with simd::active_level(); direct construction takes the level
   /// literally (modulo hardware).
-  explicit BatchPricer(TermStructure interest, TermStructure hazard,
-                       simd::Level kernel_level = simd::Level::kScalar);
+  explicit BatchPricer(
+      TermStructure interest, TermStructure hazard,
+      simd::Level kernel_level = simd::Level::kScalar,
+      std::shared_ptr<const simd::CurveTables> tables = nullptr);
 
   const TermStructure& interest() const { return interest_; }
   const TermStructure& hazard() const { return hazard_; }
   const HazardPrefix& hazard_prefix() const { return hazard_prefix_; }
+  const simd::CurveTables& tables() const { return *tables_; }
   /// The SIMD tier the kernel actually runs at (post hardware clamp).
   simd::Level kernel_level() const { return kernel_level_; }
 
@@ -289,14 +324,23 @@ class BatchPricer {
   std::vector<SpreadResult> price(const std::vector<CdsOption>& options) const;
 
   /// Batched risk kernel: per-option CS01 / IR01 / Rec01 / JTD (and, when
-  /// config.ladder_edges is set, the bucketed CS01 ladder) in one pass over
-  /// the precomputed grids. `out` must match `options` in length;
-  /// `ladder_out` must hold options.size() * buckets values (row-major per
-  /// option) and be empty when no ladder is requested. Bit-consistent with
-  /// compute_sensitivities / cs01_ladder (see the file header; documented
-  /// tolerance 1e-12 relative). Throws cdsflow::Error exactly where the
-  /// scalar reference does (invalid options, non-positive risky annuity
-  /// under any scenario, bad bump or ladder edges).
+  /// the curve set carries ladder buckets, the bucketed CS01 ladder) in one
+  /// pass over the precomputed grids, under the bumped curves of `curves`
+  /// (built from this pricer's curves; asserted on the knot times). `out`
+  /// must match `options` in length; `ladder_out` must hold
+  /// options.size() * buckets values (row-major per option) and be empty
+  /// when no ladder is requested. Bit-consistent with compute_sensitivities
+  /// / cs01_ladder (see the file header; documented tolerance 1e-12
+  /// relative). Throws cdsflow::Error exactly where the scalar reference
+  /// does (invalid options, non-positive risky annuity under any scenario).
+  BatchRiskStats price_with_sensitivities(std::span<const CdsOption> options,
+                                          std::span<Sensitivities> out,
+                                          std::span<double> ladder_out,
+                                          RiskWorkspace& workspace,
+                                          const RiskCurveSet& curves) const;
+
+  /// Builds the RiskCurveSet of `config` (throwing on a bad bump or ladder
+  /// edges) and delegates to the overload above.
   BatchRiskStats price_with_sensitivities(std::span<const CdsOption> options,
                                           std::span<Sensitivities> out,
                                           std::span<double> ladder_out,
@@ -322,6 +366,7 @@ class BatchPricer {
   TermStructure hazard_;
   HazardPrefix hazard_prefix_;
   simd::Level kernel_level_ = simd::Level::kScalar;
+  std::shared_ptr<const simd::CurveTables> tables_;
 };
 
 }  // namespace cdsflow::cds

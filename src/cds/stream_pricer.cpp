@@ -14,7 +14,9 @@ StreamPricer::StreamPricer(TermStructure interest, TermStructure hazard,
     : interest_(std::move(interest)),
       hazard_(std::move(hazard)),
       hazard_prefix_(make_hazard_prefix(hazard_)),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      tables_(simd::make_curve_tables(interest_, hazard_,
+                                      config_.kernel_level)) {
   interest_.validate();
   CDSFLOW_EXPECT(config_.risk_bump > 0.0 && std::isfinite(config_.risk_bump),
                  "sensitivity bump must be positive and finite");
@@ -29,7 +31,7 @@ void StreamPricer::tabulate(std::size_t g, bool refresh_discount) {
   const std::size_t offset = grids_.grid_offset[g];
   const std::size_t n_points = grid_points_[g];
   const detail::GridSums sums = detail::tabulate_grid(
-      interest_, hazard_prefix_,
+      interest_, hazard_prefix_, *tables_,
       std::span<const TimePoint>(grids_.points).subspan(offset, n_points),
       std::span<double>(grids_.discount).subspan(offset, n_points),
       std::span<double>(grids_.survival).subspan(offset, n_points),
@@ -96,13 +98,12 @@ void StreamPricer::price(std::span<const CdsOption> options,
   stats_.grid_points = grids_.points.size();
 }
 
-const BatchPricer& StreamPricer::risk_pricer() {
-  if (risk_dirty_ || !risk_pricer_) {
-    risk_pricer_ = std::make_unique<BatchPricer>(interest_, hazard_,
-                                                 config_.kernel_level);
-    risk_dirty_ = false;
-  }
-  return *risk_pricer_;
+void StreamPricer::refresh_risk_pricer() {
+  if (!risk_dirty_) return;
+  risk_pricer_ = std::make_unique<BatchPricer>(interest_, hazard_,
+                                               config_.kernel_level, tables_);
+  risk_curves_.emplace(interest_, hazard_, risk_config_);
+  risk_dirty_ = false;
 }
 
 void StreamPricer::price_with_sensitivities(
@@ -118,8 +119,9 @@ void StreamPricer::price_with_sensitivities(
   // ... Greeks via the batched risk kernel on the current curves. The
   // per-option spread it computes is bit-identical to the combine above, so
   // sensitivities[i].spread_bps == out[i].spread_bps.
-  risk_pricer().price_with_sensitivities(options, sensitivities, ladder_out,
-                                         risk_workspace_, risk_config_);
+  refresh_risk_pricer();
+  risk_pricer_->price_with_sensitivities(options, sensitivities, ladder_out,
+                                         risk_workspace_, *risk_curves_);
 }
 
 std::size_t StreamPricer::update_hazard_quote(std::size_t knot, double rate) {

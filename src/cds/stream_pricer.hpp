@@ -31,7 +31,12 @@
 /// Risk mode reuses the batched Greeks kernel: price_with_sensitivities()
 /// delegates each micro-batch to BatchPricer::price_with_sensitivities on
 /// the current curves (the bumped-scenario curves move with every quote, so
-/// the risk pass is rebuilt lazily after an update rather than patched).
+/// the risk pricer and its RiskCurveSet are rebuilt lazily after an update
+/// rather than patched).
+///
+/// Quote updates move knot values, never knot times, so the knot-search
+/// tables (simd::CurveTables) are built once at construction and shared by
+/// every per-grid re-tabulation and every rebuilt risk pricer.
 ///
 /// Thread compatibility matches BatchPricer's workspaces: one StreamPricer
 /// per concurrent caller (the stream runtime holds one replica per lane and
@@ -41,6 +46,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -87,7 +93,8 @@ struct StreamPricerStats {
 class StreamPricer {
  public:
   /// Both curves are copied; the interest curve is validated once (it never
-  /// changes) and the hazard prefix table is built for the initial curve.
+  /// changes), the hazard prefix table is built for the initial curve and
+  /// the knot-search tables once for good.
   StreamPricer(TermStructure interest, TermStructure hazard,
                StreamPricerConfig config = {});
 
@@ -127,8 +134,9 @@ class StreamPricer {
  private:
   /// Tabulates grid `g`'s columns and leg sums in place.
   void tabulate(std::size_t g, bool refresh_discount);
-  /// (Re)builds the lazily-cached risk-kernel pricer after quote updates.
-  const BatchPricer& risk_pricer();
+  /// (Re)builds the lazily-cached risk-kernel pricer and curve set after
+  /// quote updates.
+  void refresh_risk_pricer();
 
   TermStructure interest_;
   TermStructure hazard_;
@@ -142,10 +150,14 @@ class StreamPricer {
   /// sentinel; store explicit sizes instead so grids stay appendable.
   std::vector<std::size_t> grid_points_;
 
-  /// Risk mode: the batched Greeks kernel on the current curves, rebuilt
-  /// lazily after a quote update. The RiskWorkspace stays warm across
-  /// batches.
+  /// Knot-search tables over the (fixed) knot times of both curves.
+  std::shared_ptr<const simd::CurveTables> tables_;
+
+  /// Risk mode: the batched Greeks kernel and its bumped curves on the
+  /// current curves, rebuilt lazily after a quote update. The RiskWorkspace
+  /// stays warm across batches.
   std::unique_ptr<BatchPricer> risk_pricer_;
+  std::optional<RiskCurveSet> risk_curves_;
   BatchPricer::RiskWorkspace risk_workspace_;
   BatchRiskConfig risk_config_;
   bool risk_dirty_ = true;

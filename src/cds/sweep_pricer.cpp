@@ -88,6 +88,18 @@ SweepPricer::SweepPricer(TermStructure interest, TermStructure hazard,
   // the per-scenario transpose and lambda chain can stop there without
   // moving a bit. A 30y curve under a 10y book drops ~2/3 of both.
   active_knots_ = std::min(n_knots_, max_row + 1);
+
+  // Reserve the hazard sweep's lane-group scratch here, on the constructing
+  // thread, rather than on whichever runtime lane sweeps first: the
+  // allocation then lives with the rest of the replica, and a replica torn
+  // down by one thread and rebuilt by another reuses it instead of leaving
+  // a lane-local heap holding the freed block. Reserving touches no pages.
+  const std::size_t w = simd::lanes(base_.kernel_level());
+  rates_T_.reserve(active_knots_ * w);
+  lambda_T_.reserve((active_knots_ + 1) * w);
+  q_T_.reserve(n_points * w);
+  annuity_T_.reserve(n_grids_ * w);
+  payoff_T_.reserve(n_grids_ * w);
 }
 
 ScenarioAggregate SweepPricer::aggregate_spreads(
@@ -225,7 +237,8 @@ void SweepPricer::sweep_rate(const ScenarioMatrix& m, std::size_t begin,
         m.rate_values.begin() +
             static_cast<std::ptrdiff_t>((s + 1) * n_rate_knots));
     const TermStructure curve(base_.interest().times(), rate_vals_);
-    simd::discount_column(curve, ws_.points, d_col_, base_.kernel_level());
+    simd::discount_column(curve, base_.tables().interest, ws_.points, d_col_,
+                          base_.kernel_level());
     finish_scenario(s, begin, d_col_, ws_.survival, aggregates, sink);
   }
 }
@@ -241,14 +254,15 @@ void SweepPricer::sweep_joint(const ScenarioMatrix& m, std::size_t begin,
     fill_hazard_prefix(base_.hazard().times(),
                        m.hazard_values.subspan(s * n_knots_, n_knots_),
                        scen_prefix_);
-    simd::survival_column(scen_prefix_, ws_.points, q_col_,
-                          base_.kernel_level());
+    simd::survival_column(scen_prefix_, base_.tables().hazard, ws_.points,
+                          q_col_, base_.kernel_level());
     rate_vals_.assign(
         m.rate_values.begin() + static_cast<std::ptrdiff_t>(s * n_rate_knots),
         m.rate_values.begin() +
             static_cast<std::ptrdiff_t>((s + 1) * n_rate_knots));
     const TermStructure curve(base_.interest().times(), rate_vals_);
-    simd::discount_column(curve, ws_.points, d_col_, base_.kernel_level());
+    simd::discount_column(curve, base_.tables().interest, ws_.points, d_col_,
+                          base_.kernel_level());
     finish_scenario(s, begin, d_col_, q_col_, aggregates, sink);
   }
 }

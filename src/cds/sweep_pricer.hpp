@@ -46,8 +46,9 @@
 /// grouping, shard size and worker count. Every per-scenario path evaluates
 /// the reference expressions on the shared grids: the hazard group kernel
 /// reproduces make_hazard_prefix + integrated_hazard_prefix per lane, the
-/// rate/joint paths reuse survival_column / discount_column, and the
-/// reductions/combines are the batch kernel's own.
+/// rate/joint paths reuse survival_column / discount_column (searching
+/// through the base pricer's knot tables -- scenarios share the base knot
+/// times), and the reductions/combines are the batch kernel's own.
 
 #pragma once
 

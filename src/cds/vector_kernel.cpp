@@ -29,14 +29,20 @@ static_assert(sizeof(SpreadResult) == 2 * sizeof(double) &&
                   offsetof(SpreadResult, spread_bps) == sizeof(double),
               "SpreadResult must be two double-slots with the spread second");
 
-PrefixView view(const HazardPrefix& prefix) {
+PrefixView view(const HazardPrefix& prefix, const KnotSearchTable& table) {
+  CDSFLOW_ASSERT(table.serves(prefix.times, KnotBound::kLower),
+                 "survival column needs a lower-bound knot table over the "
+                 "prefix's knot times (or none)");
   return {prefix.times.data(), prefix.rates.data(), prefix.lambda.data(),
-          prefix.times.size(), SearchLut{}};
+          prefix.times.size(), table.view()};
 }
 
-CurveView view(const TermStructure& curve) {
+CurveView view(const TermStructure& curve, const KnotSearchTable& table) {
+  CDSFLOW_ASSERT(table.serves(curve.times(), KnotBound::kUpper),
+                 "discount column needs an upper-bound knot table over the "
+                 "curve's knot times (or none)");
   return {curve.times().data(), curve.values().data(), curve.size(),
-          SearchLut{}};
+          table.view()};
 }
 
 /// Points the arch kernel covers: the largest multiple of the lane width.
@@ -90,54 +96,6 @@ double exp_pd_scalar(double x) {
   const double scale = std::bit_cast<double>(
       static_cast<std::uint64_t>(ni + 1023) << 52);
   return p * scale;
-}
-
-/// Builds the bucketed search-acceleration table documented on SearchLut
-/// (vector_kernel_arch.hpp): bucket width at most half the smallest knot
-/// gap, buckets[k] = the exact bound index of the anchor fma(k, width, t0).
-/// The arch kernels then resolve any query with two gathers instead of a
-/// log2(knots)-step gather chain, landing on the *identical* index.
-///
-/// Returns false -- leaving the view's table empty, so the kernels keep the
-/// plain binary search -- for degenerate curves (fewer than two knots, or a
-/// non-increasing gap) and when the required table would outgrow 8x the
-/// knot count (strongly non-uniform spacing: the build would cost more than
-/// the queries save).
-bool build_search_lut(const double* times, std::size_t n, bool upper,
-                      std::vector<std::int64_t>& buckets, SearchLut& lut) {
-  if (n < 2) return false;
-  double min_gap = times[1] - times[0];
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    const double gap = times[i + 1] - times[i];
-    min_gap = gap < min_gap ? gap : min_gap;
-  }
-  if (!(min_gap > 0.0)) return false;
-  const double range = times[n - 1] - times[0];
-  const double needed = std::ceil(range / (0.5 * min_gap)) + 1.0;
-  if (!(needed <= 8.0 * static_cast<double>(n))) return false;
-  lut.n_buckets = static_cast<std::int64_t>(needed);
-  lut.t0 = times[0];
-  lut.width = range / static_cast<double>(lut.n_buckets);
-  lut.inv_width = 1.0 / lut.width;
-  buckets.resize(static_cast<std::size_t>(lut.n_buckets));
-  const double* end = times + n;
-  for (std::int64_t k = 0; k < lut.n_buckets; ++k) {
-    const double anchor = std::fma(static_cast<double>(k), lut.width, lut.t0);
-    const double* it = upper ? std::upper_bound(times, end, anchor)
-                             : std::lower_bound(times, end, anchor);
-    buckets[static_cast<std::size_t>(k)] = it - times;
-  }
-  lut.buckets = buckets.data();
-  return true;
-}
-
-/// The table costs O(n_buckets) ~ O(knots) to build, so it only pays when
-/// the call amortises it over enough points: arena-wide tabulations (every
-/// batch/risk pass) qualify, per-grid stream re-tabulations (~tens of
-/// points against a large curve) keep the binary search. Either path
-/// produces the same indices, hence the same bits.
-bool lut_worthwhile(std::size_t n_points, std::size_t n_knots) {
-  return n_points >= 2 * n_knots;
 }
 
 Level min_level(Level a, Level b) { return a < b ? a : b; }
@@ -219,7 +177,70 @@ const char* to_string(Level level) {
   return "scalar";
 }
 
-void survival_column(const HazardPrefix& prefix,
+KnotSearchTable::KnotSearchTable(std::span<const double> knots,
+                                 KnotBound bound)
+    : knots_(knots.size()), bound_(bound) {
+  // Geometry documented on SearchLut (vector_kernel_arch.hpp): bucket width
+  // at most half the smallest knot gap, buckets[k] = the exact bound index
+  // of the anchor fma(k, width, t0).
+  const std::size_t n = knots.size();
+  if (n < 2) return;
+  double min_gap = knots[1] - knots[0];
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    const double gap = knots[i + 1] - knots[i];
+    min_gap = gap < min_gap ? gap : min_gap;
+  }
+  if (!(min_gap > 0.0)) return;
+  const double range = knots[n - 1] - knots[0];
+  const double needed = std::ceil(range / (0.5 * min_gap)) + 1.0;
+  if (!(needed <= 8.0 * static_cast<double>(n))) return;
+  lut_.n_buckets = static_cast<std::int64_t>(needed);
+  lut_.t0 = knots[0];
+  lut_.width = range / static_cast<double>(lut_.n_buckets);
+  lut_.inv_width = 1.0 / lut_.width;
+  buckets_.resize(static_cast<std::size_t>(lut_.n_buckets));
+  // The anchors never decrease in k (one rounding of an increasing exact
+  // value), so a single forward walk yields every bucket's bound index --
+  // the same index std::lower_bound / std::upper_bound would return.
+  std::size_t j = 0;
+  for (std::int64_t k = 0; k < lut_.n_buckets; ++k) {
+    const double anchor =
+        std::fma(static_cast<double>(k), lut_.width, lut_.t0);
+    if (bound_ == KnotBound::kUpper) {
+      while (j < n && knots[j] <= anchor) ++j;
+    } else {
+      while (j < n && knots[j] < anchor) ++j;
+    }
+    buckets_[static_cast<std::size_t>(k)] = static_cast<std::int64_t>(j);
+  }
+}
+
+bool KnotSearchTable::serves(std::span<const double> knots,
+                             KnotBound bound) const {
+  return !built() || (bound == bound_ && knots.size() == knots_ &&
+                      knots.front() == lut_.t0);
+}
+
+SearchLut KnotSearchTable::view() const {
+  SearchLut lut = lut_;
+  lut.buckets = built() ? buckets_.data() : nullptr;
+  return lut;
+}
+
+CurveTables::CurveTables(const TermStructure& interest,
+                         const TermStructure& hazard)
+    : interest(interest.times(), KnotBound::kUpper),
+      hazard(hazard.times(), KnotBound::kLower) {}
+
+std::shared_ptr<const CurveTables> make_curve_tables(
+    const TermStructure& interest, const TermStructure& hazard, Level level) {
+  if (resolve_level(level) == Level::kScalar) {
+    return std::make_shared<const CurveTables>();
+  }
+  return std::make_shared<const CurveTables>(interest, hazard);
+}
+
+void survival_column(const HazardPrefix& prefix, const KnotSearchTable& table,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level) {
   CDSFLOW_ASSERT(out.size() == points.size(),
@@ -231,12 +252,7 @@ void survival_column(const HazardPrefix& prefix,
     // maybe_unused: with no arch TU compiled in (CDSFLOW_DISABLE_SIMD) the
     // dispatch blocks below vanish and this branch is dead code.
     [[maybe_unused]] const double* ts = &points.data()->t;
-    PrefixView pv = view(prefix);
-    std::vector<std::int64_t> lut_storage;
-    if (lut_worthwhile(head, prefix.times.size())) {
-      build_search_lut(pv.times, pv.size, /*upper=*/false, lut_storage,
-                       pv.lut);
-    }
+    [[maybe_unused]] const PrefixView pv = view(prefix, table);
 #if defined(CDSFLOW_HAVE_AVX512)
     if (run == Level::kAvx512) {
       detail_avx512::survival_column(pv, ts, 2, head, out.data());
@@ -263,6 +279,7 @@ void survival_column(const HazardPrefix& prefix,
 }
 
 void discount_column(const TermStructure& interest,
+                     const KnotSearchTable& table,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level) {
   CDSFLOW_ASSERT(out.size() == points.size(),
@@ -275,12 +292,7 @@ void discount_column(const TermStructure& interest,
     if (interest.size() >= 2) {
       head = vector_head(points.size(), run);
       [[maybe_unused]] const double* ts = &points.data()->t;
-      CurveView cv = view(interest);
-      std::vector<std::int64_t> lut_storage;
-      if (lut_worthwhile(head, interest.size())) {
-        build_search_lut(cv.times, cv.size, /*upper=*/true, lut_storage,
-                         cv.lut);
-      }
+      [[maybe_unused]] const CurveView cv = view(interest, table);
 #if defined(CDSFLOW_HAVE_AVX512)
       if (run == Level::kAvx512) {
         detail_avx512::discount_column(cv, ts, 2, head, out.data());
@@ -307,13 +319,13 @@ void discount_column(const TermStructure& interest,
 }
 
 void tabulate_columns(const TermStructure& interest,
-                      const HazardPrefix& prefix,
+                      const HazardPrefix& prefix, const CurveTables& tables,
                       std::span<const TimePoint> points,
                       std::span<double> discount, std::span<double> survival,
                       bool refresh_discount, Level level) {
-  survival_column(prefix, points, survival, level);
+  survival_column(prefix, tables.hazard, points, survival, level);
   if (refresh_discount) {
-    discount_column(interest, points, discount, level);
+    discount_column(interest, tables.interest, points, discount, level);
   }
 }
 

@@ -57,12 +57,15 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "cds/curve.hpp"
 #include "cds/hazard.hpp"
 #include "cds/schedule.hpp"
 #include "cds/types.hpp"
+#include "cds/vector_kernel_arch.hpp"
 
 namespace cdsflow::cds::simd {
 
@@ -91,18 +94,75 @@ unsigned lanes(Level level);
 
 const char* to_string(Level level);
 
+/// Which index a knot-search table reproduces: std::lower_bound over the
+/// hazard knots (the survival column's segment) or std::upper_bound over
+/// the interest knots (the discount column's bracket).
+enum class KnotBound { kLower, kUpper };
+
+/// Owning bucketed knot-search table: the buckets behind a SearchLut view
+/// (vector_kernel_arch.hpp), built once from one knot-time vector. A lane
+/// query through the table lands on the exact binary-search index, so a
+/// table that exists is always used and never moves a bit. Bumped risk
+/// curves and sweep scenarios move knot values, never knot times, so they
+/// all reuse their base curve's table.
+///
+/// Degenerate knot vectors get no table (built() is false) and the kernels
+/// keep the branchless binary search: fewer than two knots, a gap <= 0, or
+/// spacing so uneven that the table would need more than 8 x knots
+/// buckets. A default-constructed table is the same "no table".
+class KnotSearchTable {
+ public:
+  KnotSearchTable() = default;
+  KnotSearchTable(std::span<const double> knots, KnotBound bound);
+
+  bool built() const { return !buckets_.empty(); }
+  /// True when this table may serve `bound` queries over these knot times:
+  /// no table at all, or one of that bound built over as many knots
+  /// starting at the same time (the O(1) guard; callers own the full
+  /// equal-times invariant).
+  bool serves(std::span<const double> knots, KnotBound bound) const;
+  /// The arch kernels' view; buckets == nullptr when !built().
+  SearchLut view() const;
+
+ private:
+  std::vector<std::int64_t> buckets_;
+  SearchLut lut_;  ///< geometry only; view() attaches buckets_
+  std::size_t knots_ = 0;
+  KnotBound bound_ = KnotBound::kLower;
+};
+
+/// The two knot-search tables of one (interest, hazard) curve pair. Built
+/// once per pricer (BatchPricer / StreamPricer construction) and shared,
+/// read-only, by every shard, bump and scenario over those knot times.
+struct CurveTables {
+  CurveTables() = default;  ///< no tables: binary search everywhere
+  CurveTables(const TermStructure& interest, const TermStructure& hazard);
+
+  KnotSearchTable interest;  ///< kUpper over the interest knot times
+  KnotSearchTable hazard;    ///< kLower over the hazard knot times
+};
+
+/// The tables the columns of a pricer running at `level` search through:
+/// both built at a vector level, none at kScalar (whose reference
+/// arithmetic never reads a table).
+std::shared_ptr<const CurveTables> make_curve_tables(
+    const TermStructure& interest, const TermStructure& hazard, Level level);
+
 /// Fills the survival column Q(t_i) = exp(-Lambda(t_i)) over `points`.
 /// Lambda uses the integrated_hazard_prefix expressions verbatim. At vector
 /// levels the lane tail (points.size() % lanes) runs the scalar exp_pd twin
 /// so the column's bits are alignment-independent; kScalar runs the scalar
-/// reference (std::exp) throughout.
-void survival_column(const HazardPrefix& prefix,
+/// reference (std::exp) throughout. `table` must be a kLower table over the
+/// prefix's knot times, or empty.
+void survival_column(const HazardPrefix& prefix, const KnotSearchTable& table,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level);
 
 /// Fills the discount column D(t_i) = exp(-r(t_i) * t_i) with r from
 /// TermStructure::interpolate_fast's bracket-search + lerp arithmetic.
+/// `table` must be a kUpper table over the curve's knot times, or empty.
 void discount_column(const TermStructure& interest,
+                     const KnotSearchTable& table,
                      std::span<const TimePoint> points, std::span<double> out,
                      Level level);
 
@@ -110,7 +170,7 @@ void discount_column(const TermStructure& interest,
 /// `refresh_discount` (the hazard-quote update path reuses the stored
 /// column, exactly like detail::tabulate_grid).
 void tabulate_columns(const TermStructure& interest,
-                      const HazardPrefix& prefix,
+                      const HazardPrefix& prefix, const CurveTables& tables,
                       std::span<const TimePoint> points,
                       std::span<double> discount, std::span<double> survival,
                       bool refresh_discount, Level level);

@@ -21,9 +21,10 @@ namespace cdsflow::cds::simd {
 /// Bucketed knot-search acceleration table (optional: buckets == nullptr
 /// makes the arch kernels fall back to the branchless binary search).
 ///
-/// The dispatcher builds it per call when the point count justifies the
-/// O(n_buckets) build (vector_kernel.cpp's build_search_lut): a uniform
-/// grid of
+/// A non-owning view of a KnotSearchTable (vector_kernel.hpp), which is
+/// built once per knot vector -- at pricer construction -- and shared by
+/// every column call over curves with those knot times: base curve, bumped
+/// risk curves and sweep scenarios alike. The table is a uniform grid of
 /// `n_buckets` buckets over [t0, t0 + n_buckets * width] whose width is at
 /// most *half* the smallest knot gap, where buckets[k] is the exact
 /// std::lower_bound (or std::upper_bound, per table) index of the bucket's
@@ -32,7 +33,8 @@ namespace cdsflow::cds::simd {
 /// a half-gap bucket can hold at most one knot, so the bound index of any
 /// t inside bucket k is buckets[k] or buckets[k] + 1. The result is the
 /// exact scalar search index -- bit-identical bracket choice, ~10 data-
-/// dependent gathers per lane replaced by 2.
+/// dependent gathers per lane replaced by 2 -- so a table that exists is
+/// always used, whatever the point count.
 struct SearchLut {
   const std::int64_t* buckets = nullptr;
   double t0 = 0.0;

@@ -40,6 +40,12 @@ CpuEngine::CpuEngine(cds::TermStructure interest, cds::TermStructure hazard,
     if (!risk_config_.ladder_edges.empty()) {
       cds::validate_ladder_edges(risk_config_.ladder_edges);
     }
+    // The risk config is fixed for the engine's lifetime, so its bumped
+    // curves are built once here and every price() call -- every runtime
+    // shard -- reuses them.
+    if (batch_) {
+      risk_curves_.emplace(pricer_.interest(), pricer_.hazard(), risk_config_);
+    }
   }
 }
 
@@ -86,7 +92,7 @@ void CpuEngine::price_chunk(const std::vector<cds::CdsOption>& options,
           std::span<cds::Sensitivities>(run.sensitivities).subspan(begin, n),
           std::span<double>(run.cs01_ladder)
               .subspan(begin * buckets, n * buckets),
-          scratch.risk, risk_config_);
+          scratch.risk, *risk_curves_);
     } else {
       // The naive post-pricing workflow: bumped repricings per option.
       for (std::size_t i = begin; i < end; ++i) {

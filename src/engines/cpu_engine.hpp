@@ -26,7 +26,11 @@
 /// per-option CS01/IR01/Rec01/JTD (and optionally a bucketed CS01 ladder)
 /// next to the spreads -- the scalar kernel by per-option bumped repricing,
 /// the batch kernel by bumping each unique schedule grid once
-/// (BatchPricer::price_with_sensitivities).
+/// (BatchPricer::price_with_sensitivities). The risk config is fixed at
+/// construction, so the batch kernel's bumped curves (cds::RiskCurveSet)
+/// are built there once and shared by every price() call and every chunk;
+/// like the base grids, their columns search through the BatchPricer's
+/// knot tables, built once per engine.
 ///
 /// Threading uses OpenMP when the toolchain provides it (as in the paper)
 /// and falls back to std::thread otherwise; both paths drive the same
@@ -38,6 +42,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "cds/batch_pricer.hpp"
 #include "cds/curve.hpp"
@@ -127,6 +132,8 @@ class CpuEngine final : public Engine {
   /// objects).
   std::vector<Scratch> scratch_;
   cds::BatchRiskConfig risk_config_;
+  /// Batch-kernel risk mode only: the bumped curves of risk_config_.
+  std::optional<cds::RiskCurveSet> risk_curves_;
   unsigned threads_;
   bool batch_ = false;
   bool vector_ = false;

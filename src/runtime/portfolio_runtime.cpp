@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "engines/registry.hpp"
-#include "runtime/replica_pool.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -47,6 +46,7 @@ PortfolioRuntime::PortfolioRuntime(cds::TermStructure interest,
     engines_.push_back(engine::make_engine(config_.engine, interest, hazard,
                                            config_.fpga, config_.cpu));
   }
+  if (lanes_ > 1) pool_ = std::make_unique<ThreadPool>(lanes_ - 1);
 }
 
 PortfolioRuntime::~PortfolioRuntime() = default;
@@ -67,28 +67,14 @@ RuntimeRun PortfolioRuntime::price(const std::vector<cds::CdsOption>& options) {
   std::vector<engine::PricingRun> shard_runs(plan.size());
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (lanes_ == 1) {
-    for (const auto& shard : plan) {
-      const std::vector<cds::CdsOption> slice(options.begin() + shard.begin,
-                                              options.begin() + shard.end);
-      shard_runs[shard.index] = engines_.front()->price(slice);
-    }
-  } else {
-    ReplicaPool engine_pool(engines_.size());
-    ThreadPool pool(lanes_);
-    std::vector<std::future<void>> pending;
-    pending.reserve(plan.size());
-    for (const auto& shard : plan) {
-      pending.push_back(pool.submit([this, &engine_pool, &options, &shard,
-                                     &shard_runs] {
-        const ReplicaPool::Lease engine(engine_pool);
-        const std::vector<cds::CdsOption> slice(
-            options.begin() + shard.begin, options.begin() + shard.end);
-        shard_runs[shard.index] = engines_[engine.index()]->price(slice);
-      }));
-    }
-    for (auto& f : pending) f.get();  // rethrows the first shard failure
-  }
+  // Lane l prices with replica l; shards go to whichever lane is free next.
+  run_lanes(pool_.get(), lanes_, plan.size(),
+            [this, &options, &plan, &shard_runs](std::size_t i, unsigned lane) {
+              const Shard& shard = plan[i];
+              const std::vector<cds::CdsOption> slice(
+                  options.begin() + shard.begin, options.begin() + shard.end);
+              shard_runs[i] = engines_[lane]->price(slice);
+            });
   const auto t1 = std::chrono::steady_clock::now();
 
   // Deterministic merge in shard (= submission) order. Risk-mode engines

@@ -47,6 +47,8 @@
 
 namespace cdsflow::runtime {
 
+class ThreadPool;
+
 /// The full execution configuration of one batch: engine x workers x
 /// shard_size (plus per-engine-family details). Hand-written by callers, or
 /// produced whole by the probe-calibrated auto-planner
@@ -104,8 +106,10 @@ struct RuntimeRun {
 class PortfolioRuntime {
  public:
   /// Constructs the engine pool up front (each replica loads the curves at
-  /// initialisation, as on the card). Throws cdsflow::Error for unknown
-  /// engine names or zero-lane configurations.
+  /// initialisation, as on the card) and the lane threads that drive it for
+  /// the runtime's lifetime: the caller works as lane 0, so there is one
+  /// thread fewer than lanes. Throws cdsflow::Error for unknown engine
+  /// names or zero-lane configurations.
   PortfolioRuntime(cds::TermStructure interest, cds::TermStructure hazard,
                    RuntimeConfig config = {});
   ~PortfolioRuntime();
@@ -114,6 +118,7 @@ class PortfolioRuntime {
   PortfolioRuntime& operator=(const PortfolioRuntime&) = delete;
 
   /// Prices the book. An empty book returns an empty run (all metrics 0).
+  /// One caller at a time: concurrent calls would share the engines.
   RuntimeRun price(const std::vector<cds::CdsOption>& options);
 
   unsigned lanes() const { return lanes_; }
@@ -125,6 +130,10 @@ class PortfolioRuntime {
   RuntimeConfig config_;
   unsigned lanes_;
   std::vector<std::unique_ptr<engine::Engine>> engines_;
+  /// Lanes 1.. (lane 0 is the caller, see run_lanes): one pool of lanes - 1
+  /// threads, held for the runtime's lifetime; null with one lane. Declared
+  /// last, so the pool joins before the engines go.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace cdsflow::runtime

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "runtime/replica_pool.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -24,14 +23,22 @@ SweepRuntime::SweepRuntime(cds::TermStructure interest,
   for (unsigned i = 0; i < lanes_; ++i) {
     pricers_.emplace_back(interest, hazard, options, config_.level);
   }
+  if (lanes_ > 1) pool_ = std::make_unique<ThreadPool>(lanes_ - 1);
 }
+
+SweepRuntime::~SweepRuntime() = default;
 
 SweepRun SweepRuntime::run(const cds::ScenarioMatrix& scenarios) {
   SweepRun out;
   out.lanes = lanes_;
-  out.shard_size = config_.shard_size != 0
-                       ? config_.shard_size
-                       : auto_shard_size(scenarios.count, lanes_);
+  if (config_.shard_size != 0) {
+    out.shard_size = config_.shard_size;
+  } else {
+    // Whole lane groups per shard: padding a partial group costs a full
+    // group's work and moves no bits (every op in the group is lane-wise).
+    const std::size_t w = cds::simd::lanes(pricers_.front().kernel_level());
+    out.shard_size = (auto_shard_size(scenarios.count, lanes_) + w - 1) / w * w;
+  }
   if (scenarios.count == 0) return out;
 
   const auto plan = plan_shards(scenarios.count, out.shard_size);
@@ -54,21 +61,11 @@ SweepRun SweepRuntime::run(const cds::ScenarioMatrix& scenarios) {
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (lanes_ == 1) {
-    for (const auto& shard : plan) run_shard(shard, pricers_.front());
-  } else {
-    ReplicaPool replica_pool(pricers_.size());
-    ThreadPool pool(lanes_);
-    std::vector<std::future<void>> pending;
-    pending.reserve(plan.size());
-    for (const auto& shard : plan) {
-      pending.push_back(pool.submit([this, &replica_pool, &run_shard, &shard] {
-        const ReplicaPool::Lease lease(replica_pool);
-        run_shard(shard, pricers_[lease.index()]);
-      }));
-    }
-    for (auto& f : pending) f.get();  // rethrows the first shard failure
-  }
+  // Lane l sweeps with replica l; shards go to whichever lane is free next.
+  run_lanes(pool_.get(), lanes_, plan.size(),
+            [this, &plan, &run_shard](std::size_t i, unsigned lane) {
+              run_shard(plan[i], pricers_[lane]);
+            });
   const auto t1 = std::chrono::steady_clock::now();
 
   // Stats and accounting merge in shard (= submission) order.

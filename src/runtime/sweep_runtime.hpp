@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,10 +31,15 @@
 
 namespace cdsflow::runtime {
 
+class ThreadPool;
+
 struct SweepRuntimeConfig {
   /// Worker threads == replica lanes. 0 selects hardware_concurrency().
   unsigned workers = 0;
-  /// Scenarios per shard. 0 picks auto_shard_size() over the scenario count.
+  /// Scenarios per shard, used as given. 0 picks auto_shard_size() over the
+  /// scenario count, rounded up to a multiple of the kernel's vector lanes:
+  /// the hazard sweep tabulates lanes(level) scenarios per group and pads
+  /// a partial group, so a shard of 6 on 8 lanes would pay for 8.
   std::size_t shard_size = 0;
   /// Kernel level of every replica (clamped to the host, like BatchPricer).
   cds::simd::Level level = cds::simd::Level::kScalar;
@@ -76,10 +82,13 @@ class SweepRuntime {
                std::span<const cds::CdsOption> options,
                SweepRuntimeConfig config = {});
 
+  ~SweepRuntime();
+
   SweepRuntime(const SweepRuntime&) = delete;
   SweepRuntime& operator=(const SweepRuntime&) = delete;
 
   /// Sweeps the whole scenario set. An empty set returns an empty run.
+  /// One caller at a time: concurrent calls would share the replicas.
   SweepRun run(const cds::ScenarioMatrix& scenarios);
 
   unsigned lanes() const { return lanes_; }
@@ -89,6 +98,9 @@ class SweepRuntime {
   SweepRuntimeConfig config_;
   unsigned lanes_;
   std::vector<cds::SweepPricer> pricers_;
+  /// Lanes 1.. (lane 0 is the caller, see run_lanes): one pool of lanes - 1
+  /// threads, held for the runtime's lifetime; null with one lane.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace cdsflow::runtime

@@ -1,5 +1,8 @@
 #include "runtime/thread_pool.hpp"
 
+#include <atomic>
+#include <exception>
+
 #include "common/error.hpp"
 
 namespace cdsflow::runtime {
@@ -57,6 +60,42 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     task();  // exceptions land in the matching future
+  }
+}
+
+void run_lanes(ThreadPool* pool, unsigned lanes, std::size_t n,
+               const std::function<void(std::size_t index, unsigned lane)>&
+                   shard) {
+  CDSFLOW_EXPECT(lanes > 0, "run_lanes needs at least one lane");
+  CDSFLOW_EXPECT(lanes == 1 || (pool != nullptr && pool->size() >= lanes - 1),
+                 "run_lanes needs a pool worker for every lane but the "
+                 "caller's");
+  std::atomic<std::size_t> next{0};
+  std::vector<std::exception_ptr> failures(n);
+  const auto lane = [&](unsigned l) {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      try {
+        shard(i, l);
+      } catch (...) {
+        failures[i] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::future<void>> pending;
+  std::exception_ptr submit_failure;
+  try {
+    for (unsigned l = 1; l < lanes && l < n; ++l) {
+      pending.push_back(pool->submit([&lane, l] { lane(l); }));
+    }
+  } catch (...) {
+    submit_failure = std::current_exception();  // the pool is stopping
+  }
+  lane(0);
+  for (auto& f : pending) f.get();  // lanes never throw; this is the join
+  if (submit_failure) std::rethrow_exception(submit_failure);
+  for (const auto& failure : failures) {
+    if (failure) std::rethrow_exception(failure);
   }
 }
 

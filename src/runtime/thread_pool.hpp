@@ -2,10 +2,12 @@
 /// A small fixed-size worker pool for the batch and streaming runtimes.
 ///
 /// Deliberately minimal: FIFO task queue, std::future-based completion, no
-/// work stealing. The runtimes submit one task per shard / micro-batch;
-/// fairness and load balance come from oversubscription (see shard.hpp), not
-/// from the pool. Kept as its own component so the batch runtime, the
-/// streaming ingest runtime and future request servers all share it.
+/// work stealing. The streaming runtime submits one task per micro-batch;
+/// the batch and sweep runtimes submit one lane loop per pool thread
+/// (run_lanes below), whose lanes claim shards in order. Load balance comes
+/// from oversubscription (see shard.hpp), not from the pool. Kept as its own
+/// component so the batch runtime, the streaming ingest runtime and future
+/// request servers all share it.
 ///
 /// Shutdown contract:
 ///   * stop() (also run by the destructor) closes the submission window,
@@ -75,5 +77,19 @@ class ThreadPool {
   Mutex stop_mutex_;
   bool joined_ CDSFLOW_GUARDED_BY(stop_mutex_) = false;
 };
+
+/// Runs `shard(index, lane)` for every index in [0, n) on `lanes` lanes:
+/// lane 0 is the calling thread, lanes 1.. run on `pool`, which needs
+/// lanes - 1 workers (null when lanes == 1). Each lane claims the next
+/// unclaimed index until none is left -- the greedy list schedule the
+/// runtimes model -- and `lane` names the replica the lane owns for the
+/// call. The caller works as a lane instead of blocking, so one lane always
+/// starts at once, whatever a pool thread's wake-up latency. Returns after
+/// every lane has finished (no shard of a returned call still runs over the
+/// caller's frame, so a runtime can keep its pool across calls), then
+/// rethrows the failure of the lowest failing index, if any.
+void run_lanes(ThreadPool* pool, unsigned lanes, std::size_t n,
+               const std::function<void(std::size_t index, unsigned lane)>&
+                   shard);
 
 }  // namespace cdsflow::runtime

@@ -4,12 +4,14 @@
 /// worker runs over real unix-domain sockets -- the bit-identity contract
 /// (docs/CLUSTER.md) against the in-process PortfolioRuntime, and the
 /// coordinator edge cases: connect timeout, mid-shard worker death with
-/// orphan resubmission, wrong-mode rejection, and version-mismatch
+/// orphan resubmission, a stalled (connected but silent) worker declared
+/// dead by the response timeout, wrong-mode rejection, and version-mismatch
 /// poisoning at the worker.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,23 +64,56 @@ engine::ClusterNode make_node(double ops_per_second,
   return node;
 }
 
+/// A worker that stays connected but goes silent: probes and the first
+/// `answered` shards go through a real ClusterWorker, every later shard
+/// request is swallowed -- no reply, no close -- the way a wedged process
+/// looks from the coordinator's side of the socket.
+class SilentAfterShards : public net::ServerHandler {
+ public:
+  SilentAfterShards(cluster::WorkerConfig config, std::size_t answered)
+      : worker_(test_interest(), test_hazard(), std::move(config)),
+        answered_(answered) {}
+
+  void on_frame(net::Server& server, int conn, net::Frame frame) override {
+    if (frame.type == net::FrameType::kShardPrice) {
+      if (shards_seen_++ >= answered_) return;
+    }
+    worker_.on_frame(server, conn, std::move(frame));
+  }
+  void on_malformed(net::Server& server, int conn,
+                    const std::string& error) override {
+    worker_.on_malformed(server, conn, error);
+  }
+  void on_tick(net::Server& server) override { worker_.on_tick(server); }
+  void on_disconnect(int conn) override { worker_.on_disconnect(conn); }
+
+ private:
+  cluster::ClusterWorker worker_;
+  std::size_t answered_;
+  std::size_t shards_seen_ = 0;  ///< loop-thread confined
+};
+
 /// One in-process worker: a net::Server on its own thread driven by a
-/// ClusterWorker, torn down (stop + join) by the destructor. Uses a pinned
-/// fit so plans are deterministic and construction is instant.
+/// ClusterWorker (or any other handler), torn down (stop + join) by the
+/// destructor. Uses a pinned fit so plans are deterministic and
+/// construction is instant.
 struct InProcessWorker {
   std::string path;
-  std::unique_ptr<cluster::ClusterWorker> worker;
+  std::unique_ptr<net::ServerHandler> handler;
   std::unique_ptr<net::Server> server;
   std::thread thread;
 
-  InProcessWorker(const char* tag, cluster::WorkerConfig config) {
-    path = unique_socket_path(tag);
-    worker = std::make_unique<cluster::ClusterWorker>(
-        test_interest(), test_hazard(), std::move(config));
+  InProcessWorker(const char* tag, cluster::WorkerConfig config)
+      : InProcessWorker(tag, std::make_unique<cluster::ClusterWorker>(
+                                 test_interest(), test_hazard(),
+                                 std::move(config))) {}
+
+  InProcessWorker(const char* tag, std::unique_ptr<net::ServerHandler> h)
+      : path(unique_socket_path(tag)), handler(std::move(h)) {
     net::ServerConfig server_config;
     server_config.unix_path = path;
     server = std::make_unique<net::Server>(server_config);
-    thread = std::thread([this] { server->run(*worker); });
+    thread = std::thread([this] { server->run(*handler); });
   }
 
   ~InProcessWorker() {
@@ -336,6 +371,56 @@ TEST(ClusterRuntime, MidShardWorkerDeathResubmitsOrphansToSurvivors) {
       EXPECT_EQ(shard.node, 1u);
     }
   }
+}
+
+TEST(ClusterRuntime, StalledWorkerTimesOutAndItsShardsAreResubmitted) {
+  // The stalled node answers one shard, then keeps its connection open and
+  // never answers again. After response_timeout_seconds the coordinator
+  // must declare it dead, move its in-flight and queued shards to the
+  // healthy node, and still merge rows bit-identical to one process.
+  InProcessWorker stalled(
+      "cluster-stalled",
+      std::make_unique<SilentAfterShards>(pinned_worker("cpu-batch", 4e6),
+                                          /*answered=*/1));
+  InProcessWorker healthy("cluster-steady", pinned_worker("cpu-batch", 1e6));
+
+  cluster::CoordinatorConfig config;
+  config.nodes = {node_spec(stalled.path), node_spec(healthy.path)};
+  config.shard_size = 32;  // 10 shards over 320 options
+  config.response_timeout_seconds = 0.4;
+  cluster::ClusterCoordinator coordinator(config);
+
+  const auto book = test_book(320);
+  const auto plan = coordinator.plan(book.size());
+  ASSERT_GT(plan.shards_per_node[0], 1u)
+      << "plan must queue more shards on the stalled node than it answers";
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto run = coordinator.price(book);
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_GE(wall, config.response_timeout_seconds)
+      << "the stall must be detected by the response timeout";
+  EXPECT_EQ(run.nodes_lost, 1u);
+  EXPECT_GE(run.resubmissions, 1u);
+  ASSERT_EQ(run.run.results.size(), book.size());
+
+  runtime::RuntimeConfig local_config;
+  local_config.engine = "cpu-batch";
+  local_config.workers = 1;
+  runtime::PortfolioRuntime local(test_interest(), test_hazard(),
+                                  local_config);
+  expect_run_bit_identical(run.run, local.price(book).run, false);
+  std::size_t on_stalled = 0;
+  for (const auto& shard : run.shards) {
+    if (shard.resubmitted) {
+      EXPECT_EQ(shard.node, 1u);
+    }
+    if (shard.node == 0) ++on_stalled;
+  }
+  EXPECT_EQ(on_stalled, 1u) << "only the answered shard stays on the stalled "
+                               "node";
 }
 
 TEST(ClusterRuntime, WrongModeWorkerRejectionIsFatalNotResubmitted) {

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -111,6 +114,53 @@ TEST(ThreadPool, StopIsIdempotent) {
   pool.stop();
   pool.stop();  // second stop (and the destructor's) must be a no-op
   EXPECT_THROW(pool.submit([] {}), Error);
+}
+
+TEST(RunLanes, EveryIndexRunsOnceAndTheCallerIsLaneZero) {
+  runtime::ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const unsigned lanes : {1u, 2u, 3u}) {
+    for (const std::size_t n : {0u, 1u, 2u, 17u}) {
+      std::vector<std::atomic<int>> runs(n);
+      std::vector<unsigned> lane_of(n, 99);
+      std::atomic<bool> lane0_elsewhere{false};
+      runtime::run_lanes(lanes == 1 ? nullptr : &pool, lanes, n,
+                         [&](std::size_t i, unsigned lane) {
+                           ++runs[i];
+                           lane_of[i] = lane;
+                           if (lane == 0 &&
+                               std::this_thread::get_id() != caller) {
+                             lane0_elsewhere = true;
+                           }
+                         });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "lanes " << lanes << " index " << i;
+        EXPECT_LT(lane_of[i], lanes);
+      }
+      EXPECT_FALSE(lane0_elsewhere.load());
+    }
+  }
+}
+
+TEST(RunLanes, WaitsForEveryLaneThenRethrowsTheLowestFailure) {
+  runtime::ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  try {
+    runtime::run_lanes(&pool, 3, 12, [&](std::size_t i, unsigned) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++finished;
+      if (i == 5 || i == 9) throw Error("shard " + std::to_string(i));
+    });
+    FAIL() << "expected the shard failure";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard 5"), std::string::npos)
+        << e.what();
+  }
+  // No shard of the call was still running when the failure surfaced.
+  EXPECT_EQ(finished.load(), 12);
+  EXPECT_THROW(runtime::run_lanes(&pool, 4, 8, [](std::size_t, unsigned) {}),
+               Error)
+      << "a lane without a pool worker must be refused";
 }
 
 /// Bit-identical: sharded pricing must merge to exactly the bytes the

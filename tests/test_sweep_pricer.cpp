@@ -231,6 +231,60 @@ TEST(SweepInvariance, RuntimeWorkerAndShardCountsAreBitInvariant) {
   }
 }
 
+TEST(SweepInvariance, AutoShardsAreWholeLaneGroupsAndBitInvariant) {
+  // The auto shard size rounds up to whole lane groups (sweep_hazard pads a
+  // partial group to lanes(level) scenarios); padding never touches a real
+  // lane, so the aggregates stay bit-identical to one pricer sweeping the
+  // whole set, at every scenario count and worker count.
+  const auto interest = workload::paper_interest_curve(64);
+  const auto hazard = workload::paper_hazard_curve(64);
+  const auto book = mixed_book(32);
+  for (const cds::simd::Level level : test_levels()) {
+    SCOPED_TRACE(cds::simd::to_string(level));
+    const std::size_t w = cds::simd::lanes(cds::simd::resolve_level(level));
+    for (const std::size_t count : {1u, 7u, 9u, 64u, 65u}) {
+      const auto set = workload::mc_hazard_scenarios(hazard, count);
+      SweepPricer reference(interest, hazard, book, level);
+      const auto want = reference.sweep(set.matrix());
+      for (const unsigned workers : {1u, 2u, 3u}) {
+        runtime::SweepRuntimeConfig cfg;
+        cfg.workers = workers;
+        cfg.level = level;
+        runtime::SweepRuntime rt(interest, hazard, book, cfg);
+        const auto run = rt.run(set.matrix());
+        EXPECT_EQ(run.shard_size % w, 0u)
+            << "count " << count << " workers " << workers;
+        EXPECT_GE(run.shard_size, runtime::auto_shard_size(count, workers));
+        ASSERT_EQ(run.aggregates.size(), want.size());
+        for (std::size_t s = 0; s < want.size(); ++s) {
+          EXPECT_EQ(run.aggregates[s].min_spread_bps, want[s].min_spread_bps)
+              << "count " << count << " workers " << workers << " scenario "
+              << s;
+          EXPECT_EQ(run.aggregates[s].max_spread_bps, want[s].max_spread_bps)
+              << "count " << count << " workers " << workers << " scenario "
+              << s;
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepInvariance, ExplicitShardSizeIsUsedAsGiven) {
+  const auto interest = workload::paper_interest_curve(64);
+  const auto hazard = workload::paper_hazard_curve(64);
+  const auto book = mixed_book(16);
+  const auto set = workload::mc_hazard_scenarios(hazard, 64);
+  runtime::SweepRuntimeConfig cfg;
+  cfg.workers = 3;
+  cfg.shard_size = 6;  // not a lane multiple at any vector level
+  cfg.level = cds::simd::active_level();
+  runtime::SweepRuntime rt(interest, hazard, book, cfg);
+  const auto run = rt.run(set.matrix());
+  EXPECT_EQ(run.shard_size, 6u);
+  EXPECT_EQ(run.shards.size(), 11u);  // ten of 6, one of 4
+  EXPECT_EQ(run.shards.back().end - run.shards.back().begin, 4u);
+}
+
 // --- stats accounting ------------------------------------------------------------
 
 TEST(SweepStats, ColumnSharingAccounting) {

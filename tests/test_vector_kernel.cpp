@@ -14,7 +14,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cds/batch_pricer.hpp"
@@ -177,15 +179,16 @@ TEST(VectorKernel, ColumnsMatchReferenceWithinUlpBound) {
     const auto interest = workload::paper_interest_curve(knots, 5);
     const auto hazard = workload::paper_hazard_curve(knots, 6);
     const auto prefix = cds::make_hazard_prefix(hazard);
+    const cds::simd::CurveTables tables(interest, hazard);
     const auto points = schedule_arena(continuous_book(48, 700 + knots));
 
     std::vector<double> ref_q(points.size()), ref_d(points.size());
-    cds::simd::survival_column(prefix, points, ref_q, Level::kScalar);
-    cds::simd::discount_column(interest, points, ref_d, Level::kScalar);
+    cds::simd::survival_column(prefix, {}, points, ref_q, Level::kScalar);
+    cds::simd::discount_column(interest, {}, points, ref_d, Level::kScalar);
     for (const Level level : available_vector_levels()) {
       SCOPED_TRACE(cds::simd::to_string(level));
       std::vector<double> q(points.size()), d(points.size());
-      cds::simd::tabulate_columns(interest, prefix, points, d, q,
+      cds::simd::tabulate_columns(interest, prefix, tables, points, d, q,
                                   /*refresh_discount=*/true, level);
       for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_LE(ulp_distance(q[i], ref_q[i]),
@@ -207,14 +210,16 @@ TEST(VectorKernel, VectorColumnsAreAlignmentInvariant) {
   const auto interest = workload::paper_interest_curve(64, 5);
   const auto hazard = workload::paper_hazard_curve(64, 6);
   const auto prefix = cds::make_hazard_prefix(hazard);
+  const cds::simd::CurveTables tables(interest, hazard);
   const auto points = schedule_arena(continuous_book(32, 4242));
   ASSERT_GE(points.size(), 32u);
 
   for (const Level level : available_vector_levels()) {
     SCOPED_TRACE(cds::simd::to_string(level));
     std::vector<double> whole_q(points.size()), whole_d(points.size());
-    cds::simd::survival_column(prefix, points, whole_q, level);
-    cds::simd::discount_column(interest, points, whole_d, level);
+    cds::simd::survival_column(prefix, tables.hazard, points, whole_q, level);
+    cds::simd::discount_column(interest, tables.interest, points, whole_d,
+                               level);
 
     // Deliberately lane-hostile split points (prime offsets, odd lengths).
     for (const std::size_t begin : {0, 1, 3, 7, 13}) {
@@ -222,12 +227,196 @@ TEST(VectorKernel, VectorColumnsAreAlignmentInvariant) {
       std::vector<double> q(n), d(n);
       const auto part = std::span<const cds::TimePoint>(points)
                             .subspan(begin, n);
-      cds::simd::survival_column(prefix, part, q, level);
-      cds::simd::discount_column(interest, part, d, level);
+      cds::simd::survival_column(prefix, tables.hazard, part, q, level);
+      cds::simd::discount_column(interest, tables.interest, part, d, level);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(q[i], whole_q[begin + i]) << "offset " << begin + i;
         EXPECT_EQ(d[i], whole_d[begin + i]) << "offset " << begin + i;
       }
+    }
+  }
+}
+
+// --- knot-search tables (KnotSearchTable / CurveTables) ---------------------
+
+/// Every level this host executes: the scalar reference plus the vector
+/// levels.
+std::vector<Level> all_levels() {
+  std::vector<Level> levels = {Level::kScalar};
+  for (const Level level : available_vector_levels()) levels.push_back(level);
+  return levels;
+}
+
+/// A curve with irregular random knot gaps in [0.05, 0.3] years (gap ratio
+/// at most 6, so the table is always built) starting at `first`.
+TermStructure irregular_curve(std::size_t knots, double first, double lo,
+                              double hi, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> times, values;
+  double t = first;
+  for (std::size_t i = 0; i < knots; ++i) {
+    times.push_back(t);
+    values.push_back(rng.uniform(lo, hi));
+    t += rng.uniform(0.05, 0.3);
+  }
+  return TermStructure(times, values);
+}
+
+/// Query points that stress the table: every knot exactly and its two
+/// neighbouring doubles, every bucket anchor, points before the first and
+/// past the last knot, and random points in between.
+std::vector<cds::TimePoint> table_probe_points(
+    const TermStructure& curve, const cds::simd::KnotSearchTable& table,
+    std::uint64_t seed) {
+  std::vector<double> ts = {0.0, 0.5 * curve.time(0)};
+  for (const double k : curve.times()) {
+    ts.push_back(k);
+    ts.push_back(std::nextafter(k, 0.0));
+    ts.push_back(std::nextafter(k, 1e9));
+  }
+  const cds::simd::SearchLut lut = table.view();
+  for (std::int64_t k = 0; k < lut.n_buckets; ++k) {
+    ts.push_back(std::fma(static_cast<double>(k), lut.width, lut.t0));
+  }
+  const double last = curve.time(curve.size() - 1);
+  for (const double beyond : {last + 1e-9, last + 0.5, last + 7.0}) {
+    ts.push_back(beyond);
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 257; ++i) ts.push_back(rng.uniform(0.0, last + 1.0));
+  std::vector<cds::TimePoint> points;
+  for (const double t : ts) points.push_back({t, 0.25});
+  return points;
+}
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << what << " point " << i;
+  }
+}
+
+TEST(VectorKernel, PrebuiltTablesAreBitIdenticalToBinarySearch) {
+  for (const std::size_t knots : {2u, 3u, 17u, 200u}) {
+    SCOPED_TRACE("knots=" + std::to_string(knots));
+    const auto interest =
+        irregular_curve(knots, 0.3, 0.0, 0.06, 9100 + knots);
+    const auto hazard = irregular_curve(knots, 0.2, 0.002, 0.08, 9200 + knots);
+    const auto prefix = cds::make_hazard_prefix(hazard);
+    const cds::simd::CurveTables tables(interest, hazard);
+    ASSERT_TRUE(tables.interest.built());
+    ASSERT_TRUE(tables.hazard.built());
+
+    const auto q_points = table_probe_points(hazard, tables.hazard, knots);
+    const auto d_points = table_probe_points(interest, tables.interest, knots);
+    for (const Level level : all_levels()) {
+      SCOPED_TRACE(cds::simd::to_string(level));
+      std::vector<double> q_table(q_points.size()), q_search(q_points.size());
+      cds::simd::survival_column(prefix, tables.hazard, q_points, q_table,
+                                 level);
+      cds::simd::survival_column(prefix, {}, q_points, q_search, level);
+      expect_same_bits(q_table, q_search, "survival");
+
+      std::vector<double> d_table(d_points.size()), d_search(d_points.size());
+      cds::simd::discount_column(interest, tables.interest, d_points, d_table,
+                                 level);
+      cds::simd::discount_column(interest, {}, d_points, d_search, level);
+      expect_same_bits(d_table, d_search, "discount");
+    }
+  }
+}
+
+TEST(VectorKernel, RefusedTableKeepsBinarySearchAndPricesCorrectly) {
+  // Two knots a thousandth apart under a 30y curve: half-min-gap buckets
+  // would need ~60000 > 8 x knots, so no table is built and the kernels
+  // keep the binary search.
+  std::vector<double> times = {0.001, 0.002};
+  for (double t = 1.0; t <= 30.0; t += 1.0) times.push_back(t);
+  std::vector<double> hazard_values, interest_values;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    hazard_values.push_back(0.01 + 0.001 * static_cast<double>(i % 7));
+    interest_values.push_back(0.02 + 0.0005 * static_cast<double>(i % 5));
+  }
+  const TermStructure interest(times, interest_values);
+  const TermStructure hazard(times, hazard_values);
+  const cds::simd::CurveTables tables(interest, hazard);
+  EXPECT_FALSE(tables.interest.built());
+  EXPECT_FALSE(tables.hazard.built());
+  EXPECT_EQ(tables.hazard.view().buckets, nullptr);
+
+  const cds::ReferencePricer ref(interest, hazard);
+  const auto book = continuous_book(96, 6060);
+  for (const Level level : all_levels()) {
+    SCOPED_TRACE(cds::simd::to_string(level));
+    const BatchPricer pricer(interest, hazard, level);
+    EXPECT_FALSE(pricer.tables().hazard.built());
+    const auto got = pricer.price(book);
+    for (std::size_t i = 0; i < book.size(); ++i) {
+      EXPECT_LE(
+          relative_difference(got[i].spread_bps, ref.spread_bps(book[i])),
+          VectorKernelContract::kSpreadRelTol)
+          << "option " << i;
+    }
+  }
+}
+
+TEST(VectorKernel, RiskCurveSetKeepsTheBaseKnotTimes) {
+  const auto interest = workload::paper_interest_curve(64, 5);
+  const auto hazard = workload::paper_hazard_curve(64, 6);
+  cds::BatchRiskConfig config;
+  config.ladder_edges = {0.0, 1.0, 3.0, 5.0, 10.0, 30.0};
+  const cds::RiskCurveSet curves(interest, hazard, config);
+  ASSERT_EQ(curves.buckets(), 5u);
+  EXPECT_EQ(curves.interest_up.times(), interest.times());
+  EXPECT_EQ(curves.interest_dn.times(), interest.times());
+  EXPECT_EQ(curves.hazard_up.times, hazard.times());
+  EXPECT_EQ(curves.hazard_dn.times, hazard.times());
+  for (std::size_t b = 0; b < curves.buckets(); ++b) {
+    EXPECT_EQ(curves.bucket_up[b].times, hazard.times());
+    EXPECT_EQ(curves.bucket_dn[b].times, hazard.times());
+  }
+  // The values did move: a set of unbumped copies would prove nothing.
+  EXPECT_NE(curves.interest_up.values(), interest.values());
+  EXPECT_NE(curves.hazard_up.rates, hazard.values());
+}
+
+TEST(VectorKernel, ReusedRiskCurveSetMatchesPerCallRebuild) {
+  // One set built up front and reused across shards (what CpuEngine does)
+  // against the config overload, which rebuilds the set on every call.
+  const auto interest = workload::paper_interest_curve(256, 5);
+  const auto hazard = workload::paper_hazard_curve(256, 6);
+  const auto book = continuous_book(150, 7070);
+  cds::BatchRiskConfig config;
+  config.ladder_edges = {0.0, 2.0, 5.0, 30.0};
+  const cds::RiskCurveSet curves(interest, hazard, config);
+  for (const Level level : all_levels()) {
+    SCOPED_TRACE(cds::simd::to_string(level));
+    const BatchPricer pricer(interest, hazard, level);
+    BatchPricer::RiskWorkspace reused_ws, rebuilt_ws;
+    for (const std::size_t begin : {0u, 50u, 100u}) {
+      const auto shard = std::span<const CdsOption>(book).subspan(begin, 50);
+      std::vector<cds::Sensitivities> reused(50), rebuilt(50);
+      std::vector<double> reused_ladder(50 * 3), rebuilt_ladder(50 * 3);
+      pricer.price_with_sensitivities(shard, reused, reused_ladder, reused_ws,
+                                      curves);
+      pricer.price_with_sensitivities(shard, rebuilt, rebuilt_ladder,
+                                      rebuilt_ws, config);
+      for (std::size_t i = 0; i < 50; ++i) {
+        const auto& a = reused[i];
+        const auto& b = rebuilt[i];
+        for (const auto& [x, y] :
+             {std::pair{a.spread_bps, b.spread_bps}, std::pair{a.cs01, b.cs01},
+              std::pair{a.ir01, b.ir01}, std::pair{a.rec01, b.rec01},
+              std::pair{a.jtd, b.jtd}}) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(x),
+                    std::bit_cast<std::uint64_t>(y))
+              << "option " << begin + i;
+        }
+      }
+      expect_same_bits(reused_ladder, rebuilt_ladder, "ladder");
     }
   }
 }
