@@ -2,8 +2,9 @@
 /// Reproduces paper Table II: "Performance and power when scaling the FPGA
 /// CDS engines on an Alveo U280, against 24-core Xeon CPU."
 ///
-/// Rows: the CPU on all hardware threads (the paper's machine had 24 cores;
-/// this host's count is printed), then 1, 2 and 5 vectorised FPGA engines.
+/// Rows: the CPU on all hardware threads -- one "cpu" engine per
+/// PortfolioRuntime lane (the paper's machine had 24 cores; this host's
+/// count is printed), then 1, 2 and 5 vectorised FPGA engines.
 /// The resource estimator first verifies that 5 engines fit on the U280 and
 /// 6 do not, reproducing the paper's packing limit. Power is modelled (no
 /// board/RAPL here -- see DESIGN.md substitutions) with the calibrated
@@ -16,13 +17,14 @@
 #include <thread>
 
 #include "common/format.hpp"
-#include "engines/cpu_engine.hpp"
+#include "common/stats.hpp"
 #include "engines/multi_engine.hpp"
 #include "fpga/power.hpp"
 #include "fpga/resource.hpp"
 #include "report/experiment.hpp"
 #include "report/paper.hpp"
 #include "report/table.hpp"
+#include "runtime/portfolio_runtime.hpp"
 #include "workload/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -70,19 +72,27 @@ int main(int argc, char** argv) {
   };
 
   // --- CPU on all hardware threads ------------------------------------------
+  // One "cpu" engine per runtime lane, one contiguous ceil(n / t)-option
+  // shard each: the paper's N-chunk partition. Measured wall throughput.
   const unsigned hw_threads =
       std::max(1u, std::thread::hardware_concurrency());
   {
-    engine::CpuEngine cpu(scenario.interest, scenario.hazard,
-                          {.threads = hw_threads});
-    const auto m = report::measure(cpu, scenario.options, runs);
+    runtime::RuntimeConfig cfg;
+    cfg.engine = "cpu";
+    cfg.workers = hw_threads;
+    cfg.shard_size = (n_options + hw_threads - 1) / hw_threads;
+    runtime::PortfolioRuntime cpu(scenario.interest, scenario.hazard, cfg);
+    RunningStats ops;
+    for (int r = 0; r < std::max(1, runs); ++r) {
+      ops.add(cpu.price(scenario.options).wall_options_per_second);
+    }
     add_row(std::to_string(hw_threads) + "-thread CPU (this host; paper: " +
                 std::to_string(report::paper::kCpuCores) + "-core Xeon)",
-            m.mean_ops(), cpu_power.watts(hw_threads),
+            ops.mean(), cpu_power.watts(hw_threads),
             report::paper::kCpu24CoreOptsPerSec,
             report::paper::kCpu24CoreWatts,
             report::paper::kCpu24CoreOptsPerWatt);
-    std::cerr << "  measured cpu-mt" << hw_threads << ": " << m.mean_ops()
+    std::cerr << "  measured cpu x " << hw_threads << " lanes: " << ops.mean()
               << " options/s\n";
   }
 

@@ -3,29 +3,26 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_annotations.hpp"
+#include "engines/registry.hpp"
 
 namespace cdsflow::engine {
+
+cds::simd::Level simd_level(CpuKernel kernel) {
+  return kernel == CpuKernel::kVector || kernel == CpuKernel::kSweep
+             ? cds::simd::active_level()
+             : cds::simd::Level::kScalar;
+}
 
 CpuEngine::CpuEngine(cds::TermStructure interest, cds::TermStructure hazard,
                      CpuEngineConfig config)
     : pricer_(std::move(interest), std::move(hazard)),
-      threads_(config.threads),
-      batch_(config.batch_kernel || config.vector_kernel ||
-             config.sweep_kernel),
-      vector_(config.vector_kernel || config.sweep_kernel),
-      sweep_(config.sweep_kernel),
-      risk_(config.risk_mode) {
-  if (threads_ == 0) {
-    threads_ = std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (batch_) {
-    if (vector_) kernel_level_ = cds::simd::active_level();
+      kernel_(config.kernel),
+      risk_(config.risk_mode),
+      kernel_level_(simd_level(config.kernel)) {
+  if (kernel_ != CpuKernel::kReference) {
     batch_pricer_ = std::make_unique<cds::BatchPricer>(
         pricer_.interest(), pricer_.hazard(), kernel_level_);
   }
@@ -43,59 +40,41 @@ CpuEngine::CpuEngine(cds::TermStructure interest, cds::TermStructure hazard,
     // The risk config is fixed for the engine's lifetime, so its bumped
     // curves are built once here and every price() call -- every runtime
     // shard -- reuses them.
-    if (batch_) {
+    if (batch_pricer_) {
       risk_curves_.emplace(pricer_.interest(), pricer_.hazard(), risk_config_);
     }
   }
 }
 
-std::string CpuEngine::name() const {
-  std::string base =
-      sweep_ ? "cpu-sweep" : vector_ ? "cpu-vec" : batch_ ? "cpu-batch" : "cpu";
-  if (risk_) base += "-risk";
-  return threads_ == 1 ? base : (base + "-mt" + std::to_string(threads_));
-}
+std::string CpuEngine::name() const { return cpu_engine_name(kernel_, risk_); }
 
 std::string CpuEngine::description() const {
   std::string kernel = "scalar reference kernel";
-  if (vector_) {
-    kernel = std::string(sweep_ ? "scenario-sweep SIMD kernel ("
-                                : "SIMD batch kernel (") +
+  if (kernel_ == CpuKernel::kBatch) {
+    kernel = "batched SoA fast-path kernel";
+  } else if (kernel_ != CpuKernel::kReference) {
+    kernel = std::string(kernel_ == CpuKernel::kSweep
+                             ? "scenario-sweep SIMD kernel ("
+                             : "SIMD batch kernel (") +
              cds::simd::to_string(kernel_level_) + ", " +
              std::to_string(cds::simd::lanes(kernel_level_)) + " lane(s))";
-  } else if (batch_) {
-    kernel = "batched SoA fast-path kernel";
   }
   return std::string("Bespoke C++ CPU engine, ") + kernel +
-         (risk_ ? " + Greeks (CS01/IR01/Rec01/JTD)" : "") + ", " +
-         std::to_string(threads_) + " thread(s) (" +
-         (uses_openmp() ? "OpenMP" : "std::thread") + ")";
+         (risk_ ? " + Greeks (CS01/IR01/Rec01/JTD)" : "") +
+         ", single-threaded";
 }
 
-bool CpuEngine::uses_openmp() {
-#if defined(CDSFLOW_HAVE_OPENMP)
-  return true;
-#else
-  return false;
-#endif
-}
-
-void CpuEngine::price_chunk(const std::vector<cds::CdsOption>& options,
-                            std::size_t begin, std::size_t end,
-                            PricingRun& run, Scratch& scratch) const {
-  const std::size_t n = end - begin;
+void CpuEngine::price_book(const std::vector<cds::CdsOption>& options,
+                           PricingRun& run) {
   if (risk_) {
     const std::size_t buckets = run.ladder_buckets;
-    if (batch_) {
-      batch_pricer_->price_with_sensitivities(
-          std::span<const cds::CdsOption>(options).subspan(begin, n),
-          std::span<cds::Sensitivities>(run.sensitivities).subspan(begin, n),
-          std::span<double>(run.cs01_ladder)
-              .subspan(begin * buckets, n * buckets),
-          scratch.risk, *risk_curves_);
+    if (batch_pricer_) {
+      batch_pricer_->price_with_sensitivities(options, run.sensitivities,
+                                              run.cs01_ladder, scratch_.risk,
+                                              *risk_curves_);
     } else {
       // The naive post-pricing workflow: bumped repricings per option.
-      for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t i = 0; i < options.size(); ++i) {
         run.sensitivities[i] =
             cds::compute_sensitivities(pricer_.interest(), pricer_.hazard(),
                                        options[i], risk_config_.bump);
@@ -109,21 +88,18 @@ void CpuEngine::price_chunk(const std::vector<cds::CdsOption>& options,
         }
       }
     }
-    for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t i = 0; i < options.size(); ++i) {
       run.results[i] = {options[i].id, run.sensitivities[i].spread_bps};
     }
     return;
   }
-  if (batch_) {
-    batch_pricer_->price(
-        std::span<const cds::CdsOption>(options).subspan(begin, n),
-        std::span<cds::SpreadResult>(run.results).subspan(begin, n),
-        scratch.batch);
+  if (batch_pricer_) {
+    batch_pricer_->price(options, run.results, scratch_.batch);
     return;
   }
-  for (std::size_t i = begin; i < end; ++i) {
+  for (std::size_t i = 0; i < options.size(); ++i) {
     run.results[i] = {options[i].id,
-                      pricer_.spread_bps(options[i], scratch.schedule)};
+                      pricer_.spread_bps(options[i], scratch_.schedule)};
   }
 }
 
@@ -140,62 +116,7 @@ PricingRun CpuEngine::price(const std::vector<cds::CdsOption>& options) {
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (threads_ <= 1) {
-    if (scratch_.empty()) scratch_.resize(1);
-    price_chunk(options, 0, options.size(), run, scratch_[0]);
-  } else {
-    // One contiguous chunk per worker; the OpenMP and std::thread paths
-    // execute the identical partition through price_chunk, each chunk on
-    // its own warm scratch (kept across price() calls).
-    const std::size_t chunk = (options.size() + threads_ - 1) / threads_;
-    const auto n_chunks =
-        static_cast<std::ptrdiff_t>((options.size() + chunk - 1) / chunk);
-    if (scratch_.size() < static_cast<std::size_t>(n_chunks)) {
-      scratch_.resize(static_cast<std::size_t>(n_chunks));
-    }
-    // An exception (invalid option, unpriceable grid) must not escape the
-    // parallel region or a worker thread -- that would terminate the
-    // process instead of surfacing a catchable Error. Capture the first
-    // one and rethrow after the join, matching the serial path's contract.
-    // The slot is locked for the final read too, not only the writes: the
-    // join does publish it, but the lock keeps the access pattern uniform
-    // and lets the thread-safety analysis prove it instead of trusting the
-    // join edge (test_engines' WorkerThreadExceptionSurfacesAsError covers
-    // this path).
-    struct ErrorSlot {
-      Mutex mu;
-      std::exception_ptr first CDSFLOW_GUARDED_BY(mu);
-    } slot;
-    auto run_chunk = [&](std::ptrdiff_t c) noexcept {
-      const std::size_t begin = static_cast<std::size_t>(c) * chunk;
-      try {
-        price_chunk(options, begin, std::min(options.size(), begin + chunk),
-                    run, scratch_[static_cast<std::size_t>(c)]);
-      } catch (...) {
-        const MutexLock lock(slot.mu);
-        if (!slot.first) slot.first = std::current_exception();
-      }
-    };
-#if defined(CDSFLOW_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) num_threads(static_cast<int>(threads_))
-    for (std::ptrdiff_t c = 0; c < n_chunks; ++c) {
-      run_chunk(c);
-    }
-#else
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(n_chunks));
-    for (std::ptrdiff_t c = 0; c < n_chunks; ++c) {
-      workers.emplace_back([&run_chunk, c] { run_chunk(c); });
-    }
-    for (auto& w : workers) w.join();
-#endif
-    std::exception_ptr first_error;
-    {
-      const MutexLock lock(slot.mu);
-      first_error = slot.first;
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
+  price_book(options, run);
   const auto t1 = std::chrono::steady_clock::now();
 
   run.kernel_seconds = std::chrono::duration<double>(t1 - t0).count();

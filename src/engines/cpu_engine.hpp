@@ -1,43 +1,49 @@
 /// \file cpu_engine.hpp
-/// The paper's CPU comparator: "a bespoke version of the engine in C++ with
-/// OpenMP for multi-threading" on a 24-core Xeon Platinum 8260M.
+/// The paper's CPU comparator: "a bespoke version of the engine in C++",
+/// multi-threaded on a 24-core Xeon Platinum 8260M.
 ///
 /// This engine *really executes*: it prices with native code and reports
-/// measured wall-clock time. Two kernels are available:
+/// measured wall-clock time. Its grammar is kernel x mode (CpuKernel x
+/// risk_mode). The kernels:
 ///
-///   * scalar (default) -- the paper's naive comparator: per-option schedule
-///     allocation avoided via a reused buffer, but per-point O(knots) curve
-///     scans and exps exactly as the reference model performs them;
-///   * batch (config.batch_kernel) -- the batched SoA fast path
-///     (cds::BatchPricer): schedule dedup + precomputed curve grids, the
-///     host-side counterpart of the paper's dataflow restructuring. Spreads
-///     are identical to the scalar kernel (well under 1e-9 relative; see
-///     batch_pricer.hpp), so "cpu-batch" runs merge bit-identically in the
-///     sharded runtime;
-///   * vector (config.vector_kernel) -- the batch kernel with its
-///     tabulation and combine passes running on the SIMD vector kernels at
-///     the host's best level (cds/vector_kernel.hpp; AVX-512 8 lanes, AVX2
-///     4 lanes, scalar fallback). The CPU analogue of the paper's Fig. 3
-///     lane replication (hls/replicate.hpp); precision contract in
-///     cds::VectorKernelContract and docs/VECTOR_LANES.md.
+///   * kReference (default) -- the paper's naive comparator: per-option
+///     schedule allocation avoided via a reused buffer, but per-point
+///     O(knots) curve scans and exps exactly as the reference model
+///     performs them;
+///   * kBatch -- the batched SoA fast path (cds::BatchPricer): schedule
+///     dedup + precomputed curve grids, the host-side counterpart of the
+///     paper's dataflow restructuring. Spreads are identical to the
+///     reference kernel (well under 1e-9 relative; see batch_pricer.hpp), so
+///     "cpu-batch" runs merge bit-identically in the sharded runtime;
+///   * kVector -- the batch kernel with its tabulation and combine passes
+///     running on the SIMD vector kernels at the host's best level
+///     (cds/vector_kernel.hpp; AVX-512 8 lanes, AVX2 4 lanes, scalar
+///     fallback). The CPU analogue of the paper's Fig. 3 lane replication
+///     (hls/replicate.hpp); precision contract in cds::VectorKernelContract
+///     and docs/VECTOR_LANES.md;
+///   * kSweep -- the scenario-sweep family (cds::SweepPricer /
+///     runtime::SweepRuntime). For a plain price() call a sweep engine is the
+///     vector kernel, bit for bit -- one scenario on the base curves IS the
+///     batch tabulation -- so the kernel only changes the name and lets the
+///     registry/planner construct, round-trip and probe sweep candidates
+///     through the standard CPU grammar.
 ///
-/// Either kernel can additionally run in *risk mode* (config.risk_mode,
-/// registry names "cpu-risk" / "cpu-batch-risk"): the run then carries
+/// Any kernel can additionally run in *risk mode* (config.risk_mode,
+/// registry names "cpu-risk" / "cpu-batch-risk" / ...): the run then carries
 /// per-option CS01/IR01/Rec01/JTD (and optionally a bucketed CS01 ladder)
-/// next to the spreads -- the scalar kernel by per-option bumped repricing,
-/// the batch kernel by bumping each unique schedule grid once
+/// next to the spreads -- the reference kernel by per-option bumped
+/// repricing, the batch kernels by bumping each unique schedule grid once
 /// (BatchPricer::price_with_sensitivities). The risk config is fixed at
-/// construction, so the batch kernel's bumped curves (cds::RiskCurveSet)
-/// are built there once and shared by every price() call and every chunk;
-/// like the base grids, their columns search through the BatchPricer's
-/// knot tables, built once per engine.
+/// construction, so the batch kernels' bumped curves (cds::RiskCurveSet)
+/// are built there once and shared by every price() call; like the base
+/// grids, their columns search through the BatchPricer's knot tables, built
+/// once per engine.
 ///
-/// Threading uses OpenMP when the toolchain provides it (as in the paper)
-/// and falls back to std::thread otherwise; both paths drive the same
-/// contiguous-chunk helper so they cannot drift. There are no dependencies
-/// between options, so the parallel schedule is a simple partition -- the
-/// paper observes the scalar workload scales poorly anyway (~9x on 24
-/// cores), being memory-bound on the curve scans.
+/// The engine is single-threaded. The paper's replication -- "splitting the
+/// entire set up into N chunks" over concurrent engines -- lives outside
+/// it, in the runtime lanes (runtime::PortfolioRuntime / SweepRuntime /
+/// StreamRuntime, RuntimeConfig::workers): N CpuEngine replicas priced on
+/// contiguous shards reproduce a single engine bit for bit.
 
 #pragma once
 
@@ -51,31 +57,30 @@
 
 namespace cdsflow::engine {
 
+/// The CPU kernel a CpuEngine prices with (registry token in brackets).
+enum class CpuKernel {
+  kReference,  ///< "cpu": scalar reference math, the naive comparator.
+  kBatch,      ///< "cpu-batch": batched SoA fast path, scalar level.
+  kVector,     ///< "cpu-vec": the batch kernel on the SIMD lanes.
+  kSweep,      ///< "cpu-sweep": scenario-sweep family; price() == kVector.
+};
+
+/// The SIMD tier a kernel runs its batch passes at: kVector and kSweep run
+/// at simd::active_level() (post hardware/CDSFLOW_SIMD clamp), the others
+/// at kScalar. On a host without SIMD support -- or under
+/// CDSFLOW_SIMD=scalar / -DCDSFLOW_DISABLE_SIMD -- the vector kernels
+/// therefore degrade to exactly the batch kernel, bit for bit. The one
+/// place the kernel -> level rule lives: the engine, the stream runtime and
+/// the stream-fit calibration all ask here.
+cds::simd::Level simd_level(CpuKernel kernel);
+
 struct CpuEngineConfig {
-  /// Worker threads; 0 selects std::thread::hardware_concurrency().
-  unsigned threads = 1;
-  /// Price with the batched SoA fast-path kernel instead of the scalar
-  /// reference math. The scalar path survives (flag off) as the paper's
-  /// naive comparator and for parity checks.
-  bool batch_kernel = false;
-  /// Run the batch kernel's tabulation/combine passes on the SIMD vector
-  /// kernels at simd::active_level() (registry name "cpu-vec[...]"; implies
-  /// batch semantics, batch_kernel need not also be set). On a host without
-  /// SIMD support -- or under CDSFLOW_SIMD=scalar / -DCDSFLOW_DISABLE_SIMD
-  /// -- this degrades to exactly the batch kernel, bit for bit.
-  bool vector_kernel = false;
-  /// Registry name "cpu-sweep[...]": the scenario-sweep family
-  /// (cds::SweepPricer / runtime::SweepRuntime). For a plain price() call a
-  /// sweep engine is the vector kernel, bit for bit -- one scenario on the
-  /// base curves IS the batch tabulation -- so the flag only changes the
-  /// name and lets the registry/planner construct, round-trip and probe
-  /// sweep candidates through the standard CPU grammar.
-  bool sweep_kernel = false;
+  CpuKernel kernel = CpuKernel::kReference;
   /// Compute per-option sensitivities (CS01/IR01/Rec01/JTD, plus the CS01
   /// ladder when ladder_edges is set) instead of spreads alone. With the
-  /// scalar kernel this loops compute_sensitivities/cs01_ladder per option
-  /// (the naive post-pricing workflow); with the batch kernel it runs
-  /// BatchPricer::price_with_sensitivities over the precomputed grids.
+  /// reference kernel this loops compute_sensitivities/cs01_ladder per
+  /// option (the naive post-pricing workflow); with the batch kernels it
+  /// runs BatchPricer::price_with_sensitivities over the precomputed grids.
   /// run.results still carries (id, spread), so risk runs merge through the
   /// sharded runtime unchanged.
   bool risk_mode = false;
@@ -95,49 +100,34 @@ class CpuEngine final : public Engine {
 
   PricingRun price(const std::vector<cds::CdsOption>& options) override;
 
-  unsigned threads() const { return threads_; }
-  bool batch_kernel() const { return batch_; }
-  bool vector_kernel() const { return vector_; }
-  bool sweep_kernel() const { return sweep_; }
-  /// The SIMD tier the vector kernel actually runs at (kScalar unless
-  /// vector_kernel(); post hardware/CDSFLOW_SIMD clamp).
+  /// The SIMD tier the kernel actually runs at (simd_level(kernel)).
   cds::simd::Level kernel_level() const { return kernel_level_; }
   bool risk_mode() const { return risk_; }
 
-  /// True when built with OpenMP (the paper's configuration).
-  static bool uses_openmp();
-
  private:
-  /// Reusable per-chunk scratch: the batch (risk) workspace or the scalar
-  /// schedule buffer, whichever kernel/mode is active.
+  /// Reusable scratch: the batch (risk) workspace or the scalar schedule
+  /// buffer, whichever kernel/mode is active.
   struct Scratch {
     cds::BatchPricer::Workspace batch;
     cds::BatchPricer::RiskWorkspace risk;
     std::vector<cds::TimePoint> schedule;
   };
 
-  /// Prices options[begin, end) into run.results[begin, end) (and, in risk
-  /// mode, run.sensitivities / run.cs01_ladder) with the configured kernel.
-  /// The single shared loop body behind the serial, OpenMP and std::thread
-  /// paths.
-  void price_chunk(const std::vector<cds::CdsOption>& options,
-                   std::size_t begin, std::size_t end, PricingRun& run,
-                   Scratch& scratch) const;
+  /// Prices `options` into run.results (and, in risk mode,
+  /// run.sensitivities / run.cs01_ladder) with the configured kernel.
+  void price_book(const std::vector<cds::CdsOption>& options,
+                  PricingRun& run);
 
   cds::ReferencePricer pricer_;
-  /// Present only when the batch kernel is selected.
+  /// Present only when a batch kernel (kBatch, kVector, kSweep) is selected.
   std::unique_ptr<cds::BatchPricer> batch_pricer_;
-  /// One scratch per concurrent chunk, kept warm across price() calls (an
-  /// engine object is never priced on concurrently; replicas are separate
-  /// objects).
-  std::vector<Scratch> scratch_;
+  /// Kept warm across price() calls (an engine object is never priced on
+  /// concurrently; runtime replicas are separate objects).
+  Scratch scratch_;
   cds::BatchRiskConfig risk_config_;
   /// Batch-kernel risk mode only: the bumped curves of risk_config_.
   std::optional<cds::RiskCurveSet> risk_curves_;
-  unsigned threads_;
-  bool batch_ = false;
-  bool vector_ = false;
-  bool sweep_ = false;
+  CpuKernel kernel_;
   bool risk_ = false;
   cds::simd::Level kernel_level_ = cds::simd::Level::kScalar;
 };

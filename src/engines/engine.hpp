@@ -3,8 +3,9 @@
 ///
 /// Six engines implement it, mirroring the paper's progression:
 ///
-///   CpuEngine            the "bespoke C++ engine" (serial / OpenMP) --
-///                        natively executed and wall-clock timed
+///   CpuEngine            the "bespoke C++ engine" (single-threaded;
+///                        runtime lanes replicate it) -- natively executed
+///                        and wall-clock timed
 ///   XilinxBaselineEngine the Vitis open-source library structure:
 ///                        sequential pipelined loops, II=7 accumulation
 ///   DataflowEngine       "Optimised Dataflow CDS engine": concurrent

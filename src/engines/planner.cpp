@@ -20,8 +20,8 @@ namespace cdsflow::engine {
 namespace {
 
 /// Warmup + best-of-N probe timing for natively executed engines. A single
-/// cold run folds first-touch allocation and thread-spawn noise into the
-/// measurement, which can invert the cpu vs cpu-mt ranking at probe size.
+/// cold run folds first-touch allocation noise into the measurement, which
+/// can invert the cpu vs cpu-batch ranking at probe size.
 double measure_probe_seconds(Engine& engine,
                              const std::vector<cds::CdsOption>& probe,
                              unsigned warmup_runs, unsigned timed_runs) {
@@ -158,21 +158,17 @@ std::vector<BackendCandidate> enumerate_backends(
   };
 
   // --- CPU candidates -------------------------------------------------------
-  std::vector<unsigned> threads = config.cpu_thread_counts;
-  if (threads.empty()) {
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    threads = {1u};
-    if (hw > 1) threads.push_back(hw);
-  }
+  // Every CPU candidate is probed on one lane: a CPU engine is
+  // single-threaded, and plan_runtime() scales it across worker lanes.
 
   // Scenario-sweep planning: the probe's n axis is the scenario count (one
-  // fixed book, varying scenario sets), so the candidates are measured here
-  // on SweepRuntime and the option-axis candidates below are skipped --
-  // mixing the two axes in one candidate set would compare incomparable
-  // workloads. Everything downstream (affine fit, plan_runtime's worker x
-  // shard_size expansion) is unchanged: "cpu-sweep" parses as a
-  // single-threaded CPU name, so it scales with runtime worker lanes
-  // exactly like "cpu-vec" does on the option axis.
+  // fixed book, varying scenario sets), so the candidate is measured here
+  // on a one-lane SweepRuntime and the option-axis candidates below are
+  // skipped -- mixing the two axes in one candidate set would compare
+  // incomparable workloads. Everything downstream (affine fit,
+  // plan_runtime's worker x shard_size expansion) is unchanged: "cpu-sweep"
+  // is a CPU-family name, so it scales with runtime worker lanes exactly
+  // like "cpu-vec" does on the option axis.
   if (config.sweep_mode) {
     CDSFLOW_EXPECT(config.sweep_probe_options > 0,
                    "sweep probes need a non-empty book");
@@ -180,51 +176,40 @@ std::vector<BackendCandidate> enumerate_backends(
     book_spec.count = config.sweep_probe_options;
     book_spec.seed = 20211109;  // fixed: candidates must see identical work
     const auto book = workload::make_portfolio(book_spec);
-    std::vector<workload::ScenarioSet> probe_sets;
-    probe_sets.reserve(sizes.size());
+    runtime::SweepRuntimeConfig rt_config;
+    rt_config.workers = 1;
+    rt_config.level = simd_level(CpuKernel::kSweep);
+    runtime::SweepRuntime sweep_runtime(interest, hazard, book, rt_config);
+    std::vector<ProbeMeasurement> measurements;
+    measurements.reserve(sizes.size());
     for (const std::size_t size : sizes) {
-      probe_sets.push_back(workload::mc_hazard_scenarios(hazard, size));
-    }
-    for (const unsigned t : threads) {
-      const std::string name = cpu_engine_name(
-          /*batch_kernel=*/false, /*vector_kernel=*/false,
-          /*sweep_kernel=*/true, /*risk_mode=*/false, t);
-      runtime::SweepRuntimeConfig rt_config;
-      rt_config.workers = t;
-      rt_config.level = cds::simd::active_level();
-      runtime::SweepRuntime sweep_runtime(interest, hazard, book, rt_config);
-      std::vector<ProbeMeasurement> measurements;
-      measurements.reserve(sizes.size());
-      for (std::size_t i = 0; i < sizes.size(); ++i) {
-        const cds::ScenarioMatrix matrix = probe_sets[i].matrix();
-        for (unsigned w = 0; w < config.probe_warmup_runs; ++w) {
-          (void)sweep_runtime.run(matrix);  // discarded
-        }
-        double best = std::numeric_limits<double>::infinity();
-        for (unsigned r = 0; r < std::max(1u, config.probe_repeats); ++r) {
-          best = std::min(best, sweep_runtime.run(matrix).wall_seconds);
-        }
-        measurements.push_back({sizes[i], best});
+      const workload::ScenarioSet set =
+          workload::mc_hazard_scenarios(hazard, size);
+      const cds::ScenarioMatrix matrix = set.matrix();  // a view of `set`
+      for (unsigned w = 0; w < config.probe_warmup_runs; ++w) {
+        (void)sweep_runtime.run(matrix);  // discarded
       }
-      candidates.push_back(fit_backend_model(name, config.cpu_power.watts(t),
-                                             std::move(measurements)));
+      double best = std::numeric_limits<double>::infinity();
+      for (unsigned r = 0; r < std::max(1u, config.probe_repeats); ++r) {
+        best = std::min(best, sweep_runtime.run(matrix).wall_seconds);
+      }
+      measurements.push_back({size, best});
     }
+    candidates.push_back(
+        fit_backend_model(cpu_engine_name(CpuKernel::kSweep, false),
+                          config.cpu_power.watts(1), std::move(measurements)));
     return candidates;
   }
 
-  for (const unsigned t : threads) {
-    std::vector<std::string> names;
-    names.push_back(cpu_engine_name(false, config.risk_mode, t));
-    if (config.probe_cpu_batch) {
-      names.push_back(cpu_engine_name(true, config.risk_mode, t));
-    }
-    if (config.probe_cpu_vec &&
-        cds::simd::active_level() != cds::simd::Level::kScalar) {
-      names.push_back(cpu_engine_name(true, true, config.risk_mode, t));
-    }
-    for (const auto& name : names) {
-      probe_candidate(name, config.cpu_power.watts(t), /*simulated=*/false);
-    }
+  std::vector<CpuKernel> kernels = {CpuKernel::kReference};
+  if (config.probe_cpu_batch) kernels.push_back(CpuKernel::kBatch);
+  if (config.probe_cpu_vec &&
+      simd_level(CpuKernel::kVector) != cds::simd::Level::kScalar) {
+    kernels.push_back(CpuKernel::kVector);
+  }
+  for (const CpuKernel kernel : kernels) {
+    probe_candidate(cpu_engine_name(kernel, config.risk_mode),
+                    config.cpu_power.watts(1), /*simulated=*/false);
   }
 
   // --- FPGA candidates (price only: skipped when planning risk) -------------
@@ -308,13 +293,12 @@ std::vector<RuntimePlanEntry> plan_runtime(
     CDSFLOW_EXPECT(candidate.options_per_second > 0.0,
                    "candidate '" + candidate.engine_name +
                        "' has no throughput measurement");
-    // Only single-threaded CPU candidates scale with runtime worker lanes;
-    // cpu-mtN / multi-N / cluster-MxN are already parallel inside the
-    // engine, so replicating them across lanes would double-count cores.
+    // CPU-family candidates scale with runtime worker lanes; multi-N /
+    // cluster-MxN are already parallel inside the engine, so replicating
+    // them across lanes would double-count devices.
     CpuEngineConfig parsed = config.cpu;
     const bool scales_with_workers =
-        parse_cpu_engine_name(candidate.engine_name, parsed) &&
-        parsed.threads == 1;
+        parse_cpu_engine_name(candidate.engine_name, parsed);
     const std::vector<unsigned> workers =
         scales_with_workers ? worker_sweep : std::vector<unsigned>{1u};
 

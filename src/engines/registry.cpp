@@ -28,68 +28,36 @@ bool parse_suffix_uint(const std::string& s, const std::string& prefix,
 }  // namespace
 
 bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config) {
-  // CPU family, assembled as "cpu[-batch|-vec|-sweep][-risk][-mt[N]]":
-  // strip the optional kernel and mode tokens, then parse the thread
-  // suffix.
-  CpuEngineConfig cfg = config;
-  std::string cpu_name = name;
-  const auto strip_token = [&cpu_name](const std::string& prefix) {
-    if (cpu_name.rfind(prefix, 0) != 0) return false;
-    cpu_name = "cpu" + cpu_name.substr(prefix.size());
-    return true;
-  };
-  if (strip_token("cpu-batch")) {
-    cfg.batch_kernel = true;
-  } else if (strip_token("cpu-vec")) {
-    cfg.vector_kernel = true;  // implies batch semantics in CpuEngine
-  } else if (strip_token("cpu-sweep")) {
-    cfg.sweep_kernel = true;  // implies vector semantics in CpuEngine
+  for (const CpuKernel kernel : {CpuKernel::kReference, CpuKernel::kBatch,
+                                 CpuKernel::kVector, CpuKernel::kSweep}) {
+    for (const bool risk : {false, true}) {
+      if (name == cpu_engine_name(kernel, risk)) {
+        config.kernel = kernel;
+        if (risk) config.risk_mode = true;
+        return true;
+      }
+    }
   }
-  if (strip_token("cpu-risk")) cfg.risk_mode = true;
-  unsigned n = 0;
-  if (cpu_name == "cpu") {
-    cfg.threads = 1;
-  } else if (cpu_name == "cpu-mt") {
-    cfg.threads = 0;  // all hardware threads
-  } else if (parse_suffix_uint(cpu_name, "cpu-mt", n)) {
-    cfg.threads = n;
-  } else {
-    return false;
-  }
-  config = cfg;
-  return true;
+  return false;
 }
 
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool sweep_kernel, bool risk_mode,
-                            unsigned threads) {
+std::string cpu_engine_name(CpuKernel kernel, bool risk_mode) {
   std::string name = "cpu";
-  if (sweep_kernel) {
-    name += "-sweep";
-  } else if (vector_kernel) {
-    name += "-vec";
-  } else if (batch_kernel) {
-    name += "-batch";
+  switch (kernel) {
+    case CpuKernel::kReference:
+      break;
+    case CpuKernel::kBatch:
+      name += "-batch";
+      break;
+    case CpuKernel::kVector:
+      name += "-vec";
+      break;
+    case CpuKernel::kSweep:
+      name += "-sweep";
+      break;
   }
   if (risk_mode) name += "-risk";
-  if (threads == 0) {
-    name += "-mt";
-  } else if (threads > 1) {
-    name += "-mt" + std::to_string(threads);
-  }
   return name;
-}
-
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool risk_mode, unsigned threads) {
-  return cpu_engine_name(batch_kernel, vector_kernel, /*sweep_kernel=*/false,
-                         risk_mode, threads);
-}
-
-std::string cpu_engine_name(bool batch_kernel, bool risk_mode,
-                            unsigned threads) {
-  return cpu_engine_name(batch_kernel, /*vector_kernel=*/false,
-                         /*sweep_kernel=*/false, risk_mode, threads);
 }
 
 std::unique_ptr<Engine> make_engine(const std::string& name,
@@ -139,17 +107,17 @@ std::unique_ptr<Engine> make_engine(const std::string& name,
     }
   }
   throw Error("unknown engine name '" + name +
-              "'; known: cpu[-batch|-vec|-sweep][-risk][-mt[N]], "
-              "xilinx-baseline, dataflow, dataflow-interoption, vectorised, "
-              "multi-N, cluster-MxN");
+              "'; known: cpu[-batch|-vec|-sweep][-risk], xilinx-baseline, "
+              "dataflow, dataflow-interoption, vectorised, multi-N, "
+              "cluster-MxN (CPU engines are single-threaded: lanes come from "
+              "RuntimeConfig::workers / --workers)");
 }
 
 std::vector<std::string> engine_names() {
-  return {"cpu",      "cpu-mt",      "cpu-batch", "cpu-batch-mt",
-          "cpu-vec",  "cpu-vec-mt",  "cpu-sweep", "cpu-sweep-mt",
-          "cpu-risk", "cpu-batch-risk", "cpu-vec-risk",
-          "xilinx-baseline", "dataflow", "dataflow-interoption",
-          "vectorised", "multi-5"};
+  return {"cpu",        "cpu-batch",      "cpu-vec",
+          "cpu-sweep",  "cpu-risk",       "cpu-batch-risk",
+          "cpu-vec-risk", "xilinx-baseline", "dataflow",
+          "dataflow-interoption", "vectorised", "multi-5"};
 }
 
 }  // namespace cdsflow::engine

@@ -3,28 +3,22 @@
 /// sharded runtime.
 ///
 /// Recognised names:
-///   "cpu"                   single-thread CPU engine (scalar kernel)
-///   "cpu-mt"                CPU engine on all hardware threads
-///   "cpu-mt<N>"             CPU engine on N threads (e.g. "cpu-mt8")
-///   "cpu-batch"             single-thread batched SoA fast-path kernel
-///   "cpu-batch-mt"          batch kernel on all hardware threads
-///   "cpu-batch-mt<N>"       batch kernel on N threads
+///   "cpu"                   CPU engine, scalar reference kernel
+///   "cpu-batch"             batched SoA fast-path kernel
 ///   "cpu-vec"               batch kernel on the SIMD vector kernels at the
 ///                           host's best level (cds/vector_kernel.hpp;
 ///                           scalar fallback when the host has none)
-///   "cpu-vec-mt[<N>]"       vector kernel on all / N threads
-///   "cpu-risk"              scalar kernel + per-option Greeks (naive
-///                           bumped-repricing loop)
-///   "cpu-risk-mt[<N>]"      scalar risk kernel on all / N threads
-///   "cpu-batch-risk"        batched Greeks over the precomputed grids
-///                           (BatchPricer::price_with_sensitivities)
-///   "cpu-batch-risk-mt[<N>]"  batched risk kernel on all / N threads
-///   "cpu-vec-risk[-mt[<N>]]"  batched Greeks on the vector kernels
-///   "cpu-sweep[-mt[<N>]]"   scenario-sweep family (cds::SweepPricer /
+///   "cpu-sweep"             scenario-sweep family (cds::SweepPricer /
 ///                           runtime::SweepRuntime): the planner probes and
 ///                           plans these with the scenario count as the
 ///                           workload axis; for a plain price() call the
 ///                           engine is "cpu-vec" bit for bit
+///   "cpu-risk"              reference kernel + per-option Greeks (naive
+///                           bumped-repricing loop)
+///   "cpu-batch-risk"        batched Greeks over the precomputed grids
+///                           (BatchPricer::price_with_sensitivities)
+///   "cpu-vec-risk"          batched Greeks on the vector kernels
+///   "cpu-sweep-risk"        as "cpu-vec-risk" (sweep family, risk mode)
 ///   "xilinx-baseline"       Vitis library model
 ///   "dataflow"              optimised dataflow, restart per option
 ///   "dataflow-interoption"  free-running dataflow
@@ -32,20 +26,19 @@
 ///   "multi-<N>"             N vectorised engines (e.g. "multi-5")
 ///   "cluster-<M>x<N>"       M cards of N vectorised engines each
 ///
-/// The CPU family name is assembled as
-/// "cpu[-batch|-vec|-sweep][-risk][-mt[N]]": the optional "-batch" token
-/// selects the fast-path kernel, "-vec" the same kernel on the SIMD lanes,
-/// "-sweep" the scenario-sweep family, "-risk" switches the run to
-/// sensitivities, "-mt[N]" sets the thread count. Risk-mode details (bump
-/// size, ladder edges) ride in the CpuEngineConfig argument.
+/// The CPU family grammar is kernel x mode, "cpu[-batch|-vec|-sweep][-risk]":
+/// the optional kernel token selects the CpuKernel, "-risk" switches the run
+/// to sensitivities. Risk-mode details (bump size, ladder edges) ride in the
+/// CpuEngineConfig argument. A CPU engine is single-threaded: its lanes come
+/// from the runtime that replicates it (RuntimeConfig::workers,
+/// `cdsflow_cli --workers`), never from the name.
 ///
 /// Determinism guarantee: engine construction is pure (no global state), and
 /// every engine the registry returns prices deterministically for a fixed
-/// name + config + inputs -- thread-count variants of the CPU engines
-/// partition work but never change per-option arithmetic, so "cpu-batch-mt8"
-/// reproduces "cpu-batch" bit-for-bit, and likewise for the risk variants.
-/// That is the property the sharded runtime's submission-order merge relies
-/// on (see runtime/portfolio_runtime.hpp).
+/// name + config + inputs, so replicas on contiguous shards reproduce a
+/// single engine bit-for-bit, risk variants included. That is the property
+/// the sharded runtime's submission-order merge relies on (see
+/// runtime/portfolio_runtime.hpp).
 
 #pragma once
 
@@ -66,38 +59,23 @@ std::unique_ptr<Engine> make_engine(const std::string& name,
                                     const FpgaEngineConfig& fpga_config = {},
                                     const CpuEngineConfig& cpu_config = {});
 
-/// Parses a "cpu[-batch|-vec|-sweep][-risk][-mt[N]]" family name into
-/// `config` (batch_kernel / vector_kernel / sweep_kernel / risk_mode /
-/// threads; other fields are left untouched). Returns false -- leaving `config` unmodified -- when
-/// `name` is not a CPU-family name. The one home of the CPU name grammar:
-/// make_engine uses it, and the streaming runtime reuses it so
-/// `cdsflow_cli stream` accepts the same engine names (risk mode included)
-/// as the batch commands.
+/// Parses a "cpu[-batch|-vec|-sweep][-risk]" family name into `config`:
+/// sets `kernel`, and sets `risk_mode` when the name carries "-risk" (a name
+/// without it leaves risk_mode as given, so a caller can force risk mode on
+/// any CPU name); other fields are left untouched. Returns false --
+/// leaving `config` unmodified -- when `name` is not a CPU-family name. The
+/// one home of the CPU name grammar: make_engine uses it, and the streaming
+/// runtime reuses it so `cdsflow_cli stream` accepts the same engine names
+/// (risk mode included) as the batch commands.
 bool parse_cpu_engine_name(const std::string& name, CpuEngineConfig& config);
 
-/// Assembles the "cpu[-batch|-vec|-sweep][-risk][-mt[N]]" family name for
-/// the given kernel/mode/thread count -- the inverse of
-/// parse_cpu_engine_name (threads == 1 omits the -mt token, threads == 0
-/// means all hardware threads, "-mt"; sweep_kernel wins over vector_kernel
-/// wins over batch_kernel, as in CpuEngine::name). The planner uses it to
-/// build its CPU candidate names.
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool sweep_kernel, bool risk_mode,
-                            unsigned threads);
+/// Assembles the "cpu[-batch|-vec|-sweep][-risk]" family name of a kernel
+/// and mode -- the inverse of parse_cpu_engine_name. CpuEngine::name and
+/// the planner's candidate names use it.
+std::string cpu_engine_name(CpuKernel kernel, bool risk_mode);
 
-/// Pre-sweep-kernel spelling: the 5-argument form with sweep_kernel =
-/// false.
-std::string cpu_engine_name(bool batch_kernel, bool vector_kernel,
-                            bool risk_mode, unsigned threads);
-
-/// Pre-vector-kernel spelling, kept so existing call sites read unchanged:
-/// cpu_engine_name(batch, risk, threads) == the 4-argument form with
-/// vector_kernel = false.
-std::string cpu_engine_name(bool batch_kernel, bool risk_mode,
-                            unsigned threads);
-
-/// All fixed registry names (the parametrised multi-N/cpu-mtN forms are
-/// represented by "multi-5" and "cpu-mt").
+/// All fixed registry names (the parametrised multi-N / cluster-MxN forms
+/// are represented by "multi-5").
 std::vector<std::string> engine_names();
 
 }  // namespace cdsflow::engine

@@ -73,14 +73,13 @@
 namespace cdsflow::runtime {
 
 struct StreamConfig {
-  /// CPU-family engine name, "cpu[-batch][-risk][-mt[N]]" (the stream lanes
-  /// always run the batched grid kernel -- values are identical across the
-  /// CPU kernels -- so the name's significant parts are "-risk", which
-  /// switches the micro-batches to Greeks, and "-mt[N]", which sets the
-  /// lane count when `lanes` is 0).
+  /// CPU-family engine name, "cpu[-batch|-vec|-sweep][-risk]" (the stream
+  /// lanes always run the batched grid kernel -- values are identical
+  /// across the CPU kernels -- so the name's significant parts are the SIMD
+  /// level of its kernel, engine::simd_level, and "-risk", which switches
+  /// the micro-batches to Greeks).
   std::string engine = "cpu-batch";
-  /// Pricer lanes (= replicas). 0: take the engine name's -mtN, else
-  /// hardware_concurrency.
+  /// Pricer lanes (= replicas). 0: hardware_concurrency.
   unsigned lanes = 0;
   std::size_t queue_capacity = 8192;
   BackpressurePolicy policy = BackpressurePolicy::kBlock;

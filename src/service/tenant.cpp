@@ -24,9 +24,7 @@ engine::BackendCandidate calibrate_stream_fit(
   pricer_config.risk_mode = cpu.risk_mode;
   pricer_config.risk_bump = stream.risk_bump;
   pricer_config.ladder_edges = stream.ladder_edges;
-  if (cpu.vector_kernel) {
-    pricer_config.kernel_level = cds::simd::active_level();
-  }
+  pricer_config.kernel_level = engine::simd_level(cpu.kernel);
 
   // The planner's probe protocol (one warmup, best of two timed repeats)
   // against the exact pricer a tenant lane will run. A fresh pricer per

@@ -285,14 +285,14 @@ TEST(CpuBatchEngine, RegistryParsesBatchNames) {
   auto one = engine::make_engine("cpu-batch", scenario.interest,
                                  scenario.hazard);
   EXPECT_EQ(one->name(), "cpu-batch");
-  auto two = engine::make_engine("cpu-batch-mt2", scenario.interest,
-                                 scenario.hazard);
-  EXPECT_EQ(two->name(), "cpu-batch-mt2");
-  const auto run = two->price(scenario.options);
+  const auto run = one->price(scenario.options);
   EXPECT_EQ(run.results.size(), scenario.options.size());
-  EXPECT_THROW(engine::make_engine("cpu-batch-mt0", scenario.interest,
-                                   scenario.hazard),
-               Error);
+  // Lanes come from the runtime, never from a thread suffix.
+  for (const char* name : {"cpu-batch-mt2", "cpu-batch-mt0"}) {
+    EXPECT_THROW(engine::make_engine(name, scenario.interest, scenario.hazard),
+                 Error)
+        << name;
+  }
 }
 
 TEST(CpuBatchEngine, MatchesScalarCpuEngine) {
@@ -313,36 +313,24 @@ TEST(CpuBatchEngine, MatchesScalarCpuEngine) {
   }
 }
 
-TEST(CpuBatchEngine, ThreadedRunMatchesSingleThread) {
-  const auto scenario = workload::smoke_scenario(61, 13);
-  auto one = engine::make_engine("cpu-batch", scenario.interest,
-                                 scenario.hazard);
-  auto four = engine::make_engine("cpu-batch-mt4", scenario.interest,
-                                  scenario.hazard);
-  const auto want = one->price(scenario.options);
-  const auto got = four->price(scenario.options);
-  ASSERT_EQ(got.results.size(), want.results.size());
-  for (std::size_t i = 0; i < want.results.size(); ++i) {
-    EXPECT_EQ(got.results[i].id, want.results[i].id);
-    EXPECT_EQ(got.results[i].spread_bps, want.results[i].spread_bps)
-        << "at " << i;
-  }
-}
-
-TEST(CpuBatchEngine, InvalidOptionSurfacesAsErrorFromThreadedRuns) {
-  // An exception inside the OpenMP region / worker threads must surface as
-  // a catchable Error, not terminate the process.
+TEST(CpuBatchEngine, InvalidOptionSurfacesAsErrorFromRuntimeLanes) {
+  // An invalid option in a shard other than the first -- priced on a lane
+  // thread, not the caller -- must surface as a catchable Error from
+  // PortfolioRuntime::price, not terminate the process.
   const auto scenario = workload::smoke_scenario(12);
   auto book = scenario.options;
-  book[7].maturity_years = -1.0;
-  for (const auto* name : {"cpu-mt3", "cpu-batch-mt3"}) {
+  book[7].maturity_years = -1.0;  // shard 1 of [0,4) [4,8) [8,12)
+  for (const auto* name : {"cpu", "cpu-batch"}) {
     SCOPED_TRACE(name);
-    auto engine = engine::make_engine(name, scenario.interest,
-                                      scenario.hazard);
-    EXPECT_THROW(engine->price(book), Error);
-    // The engine stays usable after the failed batch.
-    const auto run = engine->price(scenario.options);
-    EXPECT_EQ(run.results.size(), scenario.options.size());
+    runtime::RuntimeConfig cfg;
+    cfg.engine = name;
+    cfg.workers = 3;
+    cfg.shard_size = 4;
+    runtime::PortfolioRuntime rt(scenario.interest, scenario.hazard, cfg);
+    EXPECT_THROW(rt.price(book), Error);
+    // The runtime stays usable after the failed batch.
+    const auto run = rt.price(scenario.options);
+    EXPECT_EQ(run.run.results.size(), scenario.options.size());
   }
 }
 

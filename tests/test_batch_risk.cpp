@@ -233,16 +233,15 @@ TEST(RiskEngines, RegistryParsesRiskNames) {
   auto batch_risk = engine::make_engine("cpu-batch-risk", scenario.interest,
                                         scenario.hazard);
   EXPECT_EQ(batch_risk->name(), "cpu-batch-risk");
-  auto batch_risk_mt = engine::make_engine("cpu-batch-risk-mt2",
-                                           scenario.interest,
-                                           scenario.hazard);
-  EXPECT_EQ(batch_risk_mt->name(), "cpu-batch-risk-mt2");
   auto scalar_risk = engine::make_engine("cpu-risk", scenario.interest,
                                          scenario.hazard);
   EXPECT_EQ(scalar_risk->name(), "cpu-risk");
-  EXPECT_THROW(engine::make_engine("cpu-batch-risk-mt0", scenario.interest,
-                                   scenario.hazard),
-               Error);
+  // Lanes come from the runtime, never from a thread suffix.
+  for (const char* name : {"cpu-batch-risk-mt2", "cpu-batch-risk-mt0"}) {
+    EXPECT_THROW(engine::make_engine(name, scenario.interest, scenario.hazard),
+                 Error)
+        << name;
+  }
 }
 
 TEST(RiskEngines, RiskModeFillsSensitivitiesAndSpreads) {
@@ -289,26 +288,6 @@ TEST(RiskEngines, ScalarAndBatchRiskEnginesAgree) {
   }
 }
 
-TEST(RiskEngines, ThreadedRiskRunMatchesSingleThread) {
-  const auto scenario = workload::smoke_scenario(61, 13);
-  engine::CpuEngineConfig cfg;
-  cfg.ladder_edges = {0.0, 5.0, 30.0};
-  auto one = engine::make_engine("cpu-batch-risk", scenario.interest,
-                                 scenario.hazard, {}, cfg);
-  auto four = engine::make_engine("cpu-batch-risk-mt4", scenario.interest,
-                                  scenario.hazard, {}, cfg);
-  const auto want = one->price(scenario.options);
-  const auto got = four->price(scenario.options);
-  ASSERT_EQ(got.sensitivities.size(), want.sensitivities.size());
-  for (std::size_t i = 0; i < want.sensitivities.size(); ++i) {
-    EXPECT_EQ(got.sensitivities[i].cs01, want.sensitivities[i].cs01);
-    EXPECT_EQ(got.sensitivities[i].ir01, want.sensitivities[i].ir01);
-    EXPECT_EQ(got.sensitivities[i].rec01, want.sensitivities[i].rec01);
-    EXPECT_EQ(got.sensitivities[i].jtd, want.sensitivities[i].jtd);
-  }
-  EXPECT_EQ(got.cs01_ladder, want.cs01_ladder);
-}
-
 TEST(RiskEngines, DeterministicThroughPortfolioRuntime) {
   const auto scenario = workload::smoke_scenario(53, 29);
   std::vector<Sensitivities> reference;
@@ -342,6 +321,7 @@ TEST(RiskEngines, DeterministicThroughPortfolioRuntime) {
         EXPECT_EQ(run.run.sensitivities[i].cs01, reference[i].cs01) << i;
         EXPECT_EQ(run.run.sensitivities[i].ir01, reference[i].ir01) << i;
         EXPECT_EQ(run.run.sensitivities[i].rec01, reference[i].rec01) << i;
+        EXPECT_EQ(run.run.sensitivities[i].jtd, reference[i].jtd) << i;
       }
       EXPECT_EQ(run.run.cs01_ladder, reference_ladder);
     }

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <thread>
 
 #include "cds/pricer.hpp"
 #include "common/stats.hpp"
@@ -16,6 +18,7 @@
 #include "engines/registry.hpp"
 #include "engines/vectorised_engine.hpp"
 #include "engines/xilinx_baseline.hpp"
+#include "runtime/portfolio_runtime.hpp"
 #include "workload/scenario.hpp"
 
 namespace cdsflow::engine {
@@ -49,7 +52,7 @@ class EnginesFixture : public ::testing::Test {
 // --- CPU ----------------------------------------------------------------------
 
 TEST_F(EnginesFixture, CpuSerialMatchesGoldenExactly) {
-  CpuEngine engine(scenario_.interest, scenario_.hazard, {.threads = 1});
+  CpuEngine engine(scenario_.interest, scenario_.hazard);
   const auto run = engine.price(scenario_.options);
   expect_matches_golden(run, 1e-15);  // same code path: bitwise
   EXPECT_EQ(run.kernel_cycles, 0u);
@@ -57,54 +60,89 @@ TEST_F(EnginesFixture, CpuSerialMatchesGoldenExactly) {
   EXPECT_GT(run.options_per_second, 0.0);
 }
 
-TEST_F(EnginesFixture, CpuParallelMatchesSerial) {
-  CpuEngine serial(scenario_.interest, scenario_.hazard, {.threads = 1});
-  CpuEngine parallel(scenario_.interest, scenario_.hazard, {.threads = 4});
-  const auto a = serial.price(scenario_.options);
-  const auto b = parallel.price(scenario_.options);
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.results[i].spread_bps, b.results[i].spread_bps);
+TEST_F(EnginesFixture, CpuRuntimeLanesMatchSingleEngine) {
+  // Threads belong to the runtime: "cpu" replicas on 1, 2 and 4 lanes, over
+  // ragged contiguous shards, merge to the single engine's bytes.
+  CpuEngine serial(scenario_.interest, scenario_.hazard);
+  const auto want = serial.price(scenario_.options);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(workers);
+    runtime::RuntimeConfig cfg;
+    cfg.engine = "cpu";
+    cfg.workers = workers;
+    cfg.shard_size = 7;  // 24 = 3*7 + 3: ragged final shard
+    runtime::PortfolioRuntime rt(scenario_.interest, scenario_.hazard, cfg);
+    const auto got = rt.price(scenario_.options);
+    ASSERT_EQ(got.run.results.size(), want.results.size());
+    for (std::size_t i = 0; i < want.results.size(); ++i) {
+      EXPECT_EQ(got.run.results[i].id, want.results[i].id);
+      EXPECT_EQ(got.run.results[i].spread_bps, want.results[i].spread_bps)
+          << "option " << i;
+    }
   }
 }
 
-TEST(CpuEngine, ZeroThreadsSelectsHardwareConcurrency) {
+TEST(CpuEngine, ZeroWorkersSelectsHardwareConcurrency) {
+  // The CPU engine has no thread setting; "0 = all hardware threads" is the
+  // runtime's lane default.
   const auto s = workload::smoke_scenario(4);
-  CpuEngine engine(s.interest, s.hazard, {.threads = 0});
-  EXPECT_GE(engine.threads(), 1u);
+  runtime::RuntimeConfig cfg;
+  cfg.engine = "cpu";
+  cfg.workers = 0;
+  runtime::PortfolioRuntime rt(s.interest, s.hazard, cfg);
+  EXPECT_EQ(rt.lanes(), std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(rt.price(s.options).run.results.size(), s.options.size());
 }
 
 TEST(Registry, CpuEngineNameRoundTripsThroughParse) {
-  for (const bool batch : {false, true}) {
+  // The CPU grammar is kernel x mode: eight names, each parsing back to its
+  // (kernel, risk) pair and naming the engine it builds.
+  const auto s = workload::smoke_scenario(4);
+  std::set<std::string> names;
+  for (const CpuKernel kernel : {CpuKernel::kReference, CpuKernel::kBatch,
+                                 CpuKernel::kVector, CpuKernel::kSweep}) {
     for (const bool risk : {false, true}) {
-      for (const unsigned threads : {0u, 1u, 2u, 24u}) {
-        const std::string name = cpu_engine_name(batch, risk, threads);
-        CpuEngineConfig config;
-        ASSERT_TRUE(parse_cpu_engine_name(name, config)) << name;
-        EXPECT_EQ(config.batch_kernel, batch) << name;
-        EXPECT_EQ(config.risk_mode, risk) << name;
-        EXPECT_EQ(config.threads, threads) << name;
-      }
+      const std::string name = cpu_engine_name(kernel, risk);
+      names.insert(name);
+      CpuEngineConfig config;
+      ASSERT_TRUE(parse_cpu_engine_name(name, config)) << name;
+      EXPECT_TRUE(config.kernel == kernel) << name;
+      EXPECT_EQ(config.risk_mode, risk) << name;
+      EXPECT_EQ(make_engine(name, s.interest, s.hazard)->name(), name);
     }
   }
-  EXPECT_EQ(cpu_engine_name(false, false, 1), "cpu");
-  EXPECT_EQ(cpu_engine_name(true, true, 8), "cpu-batch-risk-mt8");
+  EXPECT_EQ(names.size(), 8u);
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kReference, false), "cpu");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kBatch, true), "cpu-batch-risk");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, false), "cpu-sweep");
+  EXPECT_EQ(cpu_engine_name(CpuKernel::kSweep, true), "cpu-sweep-risk");
+
+  // A name without "-risk" leaves a caller's forced risk mode in place.
+  CpuEngineConfig forced;
+  forced.risk_mode = true;
+  ASSERT_TRUE(parse_cpu_engine_name("cpu-vec", forced));
+  EXPECT_TRUE(forced.kernel == CpuKernel::kVector);
+  EXPECT_TRUE(forced.risk_mode);
 }
 
-TEST(Registry, SweepEngineNameRoundTripsThroughParse) {
-  for (const unsigned threads : {0u, 1u, 2u, 24u}) {
-    const std::string name =
-        cpu_engine_name(/*batch_kernel=*/false, /*vector_kernel=*/false,
-                        /*sweep_kernel=*/true, /*risk_mode=*/false, threads);
+TEST(Registry, CpuThreadSuffixesAreUnknownNames) {
+  // Lanes are a runtime setting, not part of the engine name: every
+  // -mt[N] spelling is rejected, and the error points at the lane knob.
+  const auto s = workload::smoke_scenario(4);
+  for (const char* name : {"cpu-mt", "cpu-mt2", "cpu-batch-mt4",
+                           "cpu-vec-risk-mt", "cpu-batch-mt0"}) {
+    SCOPED_TRACE(name);
     CpuEngineConfig config;
-    ASSERT_TRUE(parse_cpu_engine_name(name, config)) << name;
-    EXPECT_TRUE(config.sweep_kernel) << name;
-    EXPECT_FALSE(config.batch_kernel) << name;
-    EXPECT_FALSE(config.vector_kernel) << name;
-    EXPECT_EQ(config.threads, threads) << name;
+    EXPECT_FALSE(parse_cpu_engine_name(name, config));
+    try {
+      (void)make_engine(name, s.interest, s.hazard);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("RuntimeConfig::workers"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  EXPECT_EQ(cpu_engine_name(false, false, true, false, 1), "cpu-sweep");
-  EXPECT_EQ(cpu_engine_name(false, false, true, false, 0), "cpu-sweep-mt");
-  EXPECT_EQ(cpu_engine_name(false, false, true, false, 8), "cpu-sweep-mt8");
 }
 
 TEST(Registry, SweepEngineConstructsAndPricesLikeVec) {
@@ -275,8 +313,7 @@ TEST_F(EnginesFixture, RegistryBuildsEveryFixedName) {
 TEST_F(EnginesFixture, RegistryParsesParameterisedNames) {
   auto multi = make_engine("multi-3", scenario_.interest, scenario_.hazard);
   EXPECT_EQ(multi->name(), "multi-3");
-  auto mt = make_engine("cpu-mt2", scenario_.interest, scenario_.hazard);
-  const auto run = mt->price(scenario_.options);
+  const auto run = multi->price(scenario_.options);
   EXPECT_EQ(run.results.size(), scenario_.options.size());
 }
 
@@ -306,24 +343,6 @@ TEST_F(EnginesFixture, EmptyPortfolioRejectedEverywhere) {
   EXPECT_THROW(stream.price(empty), Error);
   XilinxBaselineEngine baseline(scenario_.interest, scenario_.hazard);
   EXPECT_THROW(baseline.price(empty), Error);
-}
-
-TEST_F(EnginesFixture, WorkerThreadExceptionSurfacesAsError) {
-  // Regression for CpuEngine::price()'s first-error slot: an unpriceable
-  // option throws inside a worker thread; the engine must capture the
-  // first exception under the slot's lock and rethrow after the join as a
-  // catchable Error. The worker body is noexcept, so without the capture
-  // the exception would escape a thread and terminate the process.
-  CpuEngineConfig cfg;
-  cfg.threads = 4;
-  CpuEngine engine(scenario_.interest, scenario_.hazard, cfg);
-  auto book = scenario_.options;
-  ASSERT_GE(book.size(), 8u);  // several chunks; the bad row is not in chunk 0
-  book.back().maturity_years = -1.0;  // no premium schedule -> zero annuity
-  EXPECT_THROW(engine.price(book), Error);
-  // A failed run must not wedge the engine: the slot is per-call state.
-  const auto run = engine.price(scenario_.options);
-  EXPECT_EQ(run.results.size(), scenario_.options.size());
 }
 
 TEST(BatchTraffic, ScalesWithInputs) {

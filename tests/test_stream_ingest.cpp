@@ -416,6 +416,33 @@ TEST(StreamRuntime, DeterministicAcrossLaneCounts) {
   }
 }
 
+TEST(StreamRuntime, SweepAndVectorNamesPriceIdentically) {
+  // Both names select a SIMD kernel (engine::simd_level), so a stream on
+  // "cpu-sweep" runs at the same level as one on "cpu-vec" -- and as a
+  // "cpu-sweep" CpuEngine does -- and prices the same feed to the same
+  // bytes.
+  const auto interest = test_interest();
+  const auto hazard = test_hazard();
+  const auto feed =
+      workload::make_quote_feed(small_feed_spec(96, 8), hazard);
+  std::vector<std::vector<cds::SpreadResult>> results;
+  for (const char* name : {"cpu-vec", "cpu-sweep"}) {
+    runtime::StreamConfig cfg;
+    cfg.engine = name;
+    cfg.lanes = 2;
+    cfg.max_batch = 8;
+    runtime::StreamRuntime rt(interest, hazard, cfg);
+    results.push_back(rt.play(feed).run.results);
+  }
+  ASSERT_EQ(results[1].size(), results[0].size());
+  ASSERT_FALSE(results[0].empty());
+  for (std::size_t i = 0; i < results[0].size(); ++i) {
+    EXPECT_EQ(results[1][i].id, results[0][i].id) << "at " << i;
+    EXPECT_EQ(results[1][i].spread_bps, results[0][i].spread_bps)
+        << "at " << i;
+  }
+}
+
 TEST(StreamRuntime, RiskModeStreamsGreeks) {
   const auto interest = test_interest();
   const auto hazard = test_hazard();

@@ -33,6 +33,7 @@
 #include "engines/planner.hpp"
 #include "engines/registry.hpp"
 #include "hls/replicate.hpp"
+#include "runtime/portfolio_runtime.hpp"
 #include "workload/curves.hpp"
 #include "workload/options.hpp"
 
@@ -624,7 +625,7 @@ TEST(VectorKernel, StreamStaysBitConsistentWithBatchRebuilds) {
 
 // --- engines and registry ---------------------------------------------------
 
-TEST(VectorKernel, EngineParityAndThreadInvariance) {
+TEST(VectorKernel, EngineMatchesBatchKernelWithinContract) {
   const auto interest = workload::paper_interest_curve(64, 5);
   const auto hazard = workload::paper_hazard_curve(64, 6);
   const auto book = tenor_book(192, 99);
@@ -645,53 +646,91 @@ TEST(VectorKernel, EngineParityAndThreadInvariance) {
                                   batch_run.results[i].spread_bps),
               VectorKernelContract::kSpreadRelTol);
   }
+}
 
-  // Thread variants partition the book into per-thread chunks with their own
-  // arenas; alignment invariance keeps the registry's bit-for-bit claim.
-  const auto mt_run =
-      engine::make_engine("cpu-vec-mt2", interest, hazard)->price(book);
-  ASSERT_EQ(mt_run.results.size(), book.size());
-  for (std::size_t i = 0; i < book.size(); ++i) {
-    EXPECT_EQ(mt_run.results[i].id, vec_run.results[i].id);
-    EXPECT_EQ(mt_run.results[i].spread_bps, vec_run.results[i].spread_bps)
-        << "option " << i;
+TEST(VectorKernel, RuntimeLanesReproduceTheSingleEngine) {
+  // Runtime lanes partition the book into contiguous shards, each priced by
+  // its own engine replica with its own arenas; alignment invariance keeps
+  // the sharded runtime's bit-for-bit claim for the vector kernels, spreads
+  // and Greeks alike.
+  const auto interest = workload::paper_interest_curve(64, 5);
+  const auto hazard = workload::paper_hazard_curve(64, 6);
+  const auto book = tenor_book(192, 99);
+  engine::CpuEngineConfig cpu;
+  cpu.ladder_edges = {0.0, 3.0, 7.0, 30.0};
+
+  for (const char* name : {"cpu-vec", "cpu-vec-risk"}) {
+    SCOPED_TRACE(name);
+    const auto want =
+        engine::make_engine(name, interest, hazard, {}, cpu)->price(book);
+    for (const unsigned workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(workers);
+      runtime::RuntimeConfig cfg;
+      cfg.engine = name;
+      cfg.workers = workers;
+      cfg.shard_size = 37;  // 192 = 5*37 + 7: ragged, not lane-aligned
+      cfg.cpu = cpu;
+      runtime::PortfolioRuntime rt(interest, hazard, cfg);
+      const auto got = rt.price(book).run;
+      ASSERT_EQ(got.results.size(), book.size());
+      for (std::size_t i = 0; i < book.size(); ++i) {
+        EXPECT_EQ(got.results[i].id, want.results[i].id);
+        EXPECT_EQ(got.results[i].spread_bps, want.results[i].spread_bps)
+            << "option " << i;
+      }
+      ASSERT_EQ(got.sensitivities.size(), want.sensitivities.size());
+      for (std::size_t i = 0; i < want.sensitivities.size(); ++i) {
+        EXPECT_EQ(got.sensitivities[i].cs01, want.sensitivities[i].cs01) << i;
+        EXPECT_EQ(got.sensitivities[i].ir01, want.sensitivities[i].ir01) << i;
+        EXPECT_EQ(got.sensitivities[i].rec01, want.sensitivities[i].rec01)
+            << i;
+        EXPECT_EQ(got.sensitivities[i].jtd, want.sensitivities[i].jtd) << i;
+      }
+      EXPECT_EQ(got.cs01_ladder, want.cs01_ladder);
+    }
   }
 }
 
 TEST(VectorKernel, RegistryNameGrammarRoundTrips) {
+  using engine::CpuKernel;
   engine::CpuEngineConfig config;
   ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec", config));
-  EXPECT_TRUE(config.vector_kernel);
-  EXPECT_FALSE(config.batch_kernel);
+  EXPECT_TRUE(config.kernel == CpuKernel::kVector);
   EXPECT_FALSE(config.risk_mode);
-  EXPECT_EQ(config.threads, 1u);
 
   config = {};
-  ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-risk-mt8", config));
-  EXPECT_TRUE(config.vector_kernel);
+  ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-risk", config));
+  EXPECT_TRUE(config.kernel == CpuKernel::kVector);
   EXPECT_TRUE(config.risk_mode);
-  EXPECT_EQ(config.threads, 8u);
 
-  config = {};
-  ASSERT_TRUE(engine::parse_cpu_engine_name("cpu-vec-mt", config));
-  EXPECT_TRUE(config.vector_kernel);
-  EXPECT_EQ(config.threads, 0u);  // all hardware threads
+  // Thread suffixes are not part of the grammar (lanes are a runtime
+  // setting); a rejected name leaves the config untouched.
+  for (const char* name :
+       {"cpu-vec-mt", "cpu-vec-mt8", "cpu-vec-risk-mt", "cpu-vectorised"}) {
+    config = {};
+    EXPECT_FALSE(engine::parse_cpu_engine_name(name, config)) << name;
+    EXPECT_TRUE(config.kernel == CpuKernel::kReference) << name;
+    EXPECT_FALSE(config.risk_mode) << name;
+  }
 
-  config = {};
-  EXPECT_FALSE(engine::parse_cpu_engine_name("cpu-vectorised", config));
-  EXPECT_FALSE(config.vector_kernel);
+  EXPECT_EQ(engine::cpu_engine_name(CpuKernel::kVector, false), "cpu-vec");
+  EXPECT_EQ(engine::cpu_engine_name(CpuKernel::kVector, true),
+            "cpu-vec-risk");
 
-  EXPECT_EQ(engine::cpu_engine_name(false, true, false, 1), "cpu-vec");
-  EXPECT_EQ(engine::cpu_engine_name(true, true, true, 8), "cpu-vec-risk-mt8");
-  EXPECT_EQ(engine::cpu_engine_name(true, false, false, 2), "cpu-batch-mt2");
-  // The legacy 3-argument spelling still means vector_kernel = false.
-  EXPECT_EQ(engine::cpu_engine_name(true, true, 8), "cpu-batch-risk-mt8");
+  // One kernel -> level rule: both SIMD kernels run at the active level.
+  EXPECT_EQ(engine::simd_level(CpuKernel::kReference), Level::kScalar);
+  EXPECT_EQ(engine::simd_level(CpuKernel::kBatch), Level::kScalar);
+  EXPECT_EQ(engine::simd_level(CpuKernel::kVector),
+            cds::simd::active_level());
+  EXPECT_EQ(engine::simd_level(CpuKernel::kSweep),
+            cds::simd::active_level());
 
   const auto names = engine::engine_names();
-  for (const char* name : {"cpu-vec", "cpu-vec-mt", "cpu-vec-risk"}) {
+  for (const char* name : {"cpu-vec", "cpu-vec-risk"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
         << name;
   }
+  EXPECT_EQ(std::find(names.begin(), names.end(), "cpu-vec-mt"), names.end());
 }
 
 // --- planner ----------------------------------------------------------------
@@ -703,7 +742,6 @@ TEST(VectorKernel, PlannerEnumeratesVectorCandidateOnSimdHosts) {
   config.probe_sizes = {8, 24};
   config.probe_warmup_runs = 1;
   config.probe_repeats = 1;
-  config.cpu_thread_counts = {1};
   config.fpga_engine_counts = {1};
 
   const auto has = [](const std::vector<engine::BackendCandidate>& candidates,

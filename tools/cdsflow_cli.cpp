@@ -34,9 +34,11 @@
 /// relative (documented kernel tolerance: 1e-12).
 ///
 /// Every CPU engine name also accepts the "-vec" kernel token
-/// ("cpu-vec[-risk][-mt[N]]"): the batch kernel on the SIMD vector lanes
-/// (docs/VECTOR_LANES.md). Under --auto-plan the vector candidates are
-/// probed like any other back-end and win whenever measured fastest.
+/// ("cpu-vec[-risk]"): the batch kernel on the SIMD vector lanes
+/// (docs/VECTOR_LANES.md). CPU engines are single-threaded; --workers sets
+/// how many replicas the runtime drives. Under --auto-plan the vector
+/// candidates are probed like any other back-end and win whenever measured
+/// fastest.
 ///
 ///   cdsflow_cli stream [--engine cpu-batch[-risk]] [--count N] [--seed S]
 ///                      [--rate HZ] [--max-batch B] [--max-wait-us W]
@@ -436,7 +438,7 @@ int cmd_risk(const Args& args) {
   const std::string engine_name = args.get_or("engine", "cpu-batch-risk");
   CDSFLOW_EXPECT(engine_name.rfind("cpu", 0) == 0,
                  "risk needs a CPU engine (cpu-risk / cpu-batch-risk / "
-                 "cpu-vec-risk, optionally -mt[N]); simulated engines only "
+                 "cpu-vec-risk; lanes via --workers); simulated engines only "
                  "price");
   engine::CpuEngineConfig cpu;
   cpu.risk_mode = true;  // "risk" on any cpu engine name forces risk mode
@@ -748,8 +750,8 @@ int cmd_engines() {
     std::cout << "  " << pad_right(name, 22) << engine->description()
               << '\n';
   }
-  std::cout << "parameterised forms: cpu[-batch|-vec|-sweep][-risk]-mt<N>, "
-               "multi-<N>\n";
+  std::cout << "parameterised forms: multi-<N>, cluster-<M>x<N>; CPU engines "
+               "are single-threaded (lanes via --workers)\n";
   return 0;
 }
 

@@ -206,15 +206,15 @@ MUTEX_INCLUDE = re.compile(r"#\s*include\s*<(?:mutex|shared_mutex)>")
 
 # The annotated vocabulary itself wraps the std types.
 LOCK_ALLOWLIST = {"src/common/thread_annotations.hpp"}
-# Documented thread owners: the pool's workers, the stream dispatcher, the
-# cluster drive threads, and the CPU engine's OpenMP-fallback workers (all
-# mapped in docs/CONCURRENCY.md). Everything else must submit to ThreadPool.
+# Documented thread owners: the pool's workers, the stream dispatcher and
+# the cluster drive threads (all mapped in docs/CONCURRENCY.md). Engines
+# start none -- the runtime lanes replicate them. Everything else must
+# submit to ThreadPool.
 THREAD_ALLOWLIST = {
     "src/runtime/thread_pool.hpp",
     "src/runtime/thread_pool.cpp",
     "src/runtime/stream_runtime.hpp",
     "src/runtime/stream_runtime.cpp",
-    "src/engines/cpu_engine.cpp",
     "src/cluster/coordinator.cpp",
 }
 
@@ -256,8 +256,8 @@ def rule_raw_primitives(root: Path):
                         "raw-primitives", path, lineno,
                         "raw std::thread outside the documented thread "
                         "owners (ThreadPool, stream dispatcher, cluster "
-                        "drive threads, CPU engine fallback); submit work "
-                        "to a ThreadPool instead"))
+                        "drive threads); submit work to a ThreadPool "
+                        "instead"))
     return violations
 
 
