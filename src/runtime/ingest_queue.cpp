@@ -1,6 +1,7 @@
 #include "runtime/ingest_queue.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
@@ -44,40 +45,50 @@ IngestQueue::IngestQueue(std::size_t capacity, BackpressurePolicy policy)
   CDSFLOW_EXPECT(capacity_ > 0, "ingest queue capacity must be positive");
 }
 
-bool IngestQueue::push(QuoteEvent event) {
+template <typename MakeEvent>
+bool IngestQueue::enqueue(std::size_t n, MakeEvent make_event) {
   // Stamp on entry, before the lock and any backpressure wait: time a
-  // producer spends parked by the kBlock policy is part of the event's
+  // producer spends parked by the kBlock policy is part of the events'
   // ingest-to-result latency and of deadline accounting, not free.
-  event.ingest = StreamClock::now();
+  const StreamClock::time_point ingest = StreamClock::now();
   UniqueLock lock(mutex_);
-  if (closed_) {
-    ++stats_.rejected_closed;
-    return false;
-  }
-  if (queue_.size() >= capacity_) {
-    if (policy_ == BackpressurePolicy::kBlock) {
-      ++stats_.blocked_pushes;
-      not_full_.wait(lock.native(), [this]() CDSFLOW_REQUIRES(mutex_) {
-        return closed_ || queue_.size() < capacity_;
-      });
-      if (closed_) {
-        ++stats_.rejected_closed;
-        return false;
-      }
-    } else {
-      while (queue_.size() >= capacity_) {
+  std::size_t i = 0;
+  for (; i < n && !closed_; ++i) {
+    if (queue_.size() >= capacity_) {
+      if (policy_ == BackpressurePolicy::kBlock) {
+        ++stats_.blocked_pushes;
+        // Wake the consumer before parking: the events this span already
+        // enqueued may be all that stands between it and free space.
+        not_empty_.notify_one();
+        not_full_.wait(lock.native(), [this]() CDSFLOW_REQUIRES(mutex_) {
+          return closed_ || queue_.size() < capacity_;
+        });
+        if (closed_) break;
+      } else {
         queue_.pop_front();
         ++stats_.dropped_oldest;
       }
     }
+    QuoteEvent event = make_event(i);
+    event.ingest = ingest;
+    event.sequence = next_sequence_++;
+    queue_.push_back(std::move(event));
+    ++stats_.accepted;
+    stats_.high_water = std::max(stats_.high_water, queue_.size());
   }
-  event.sequence = next_sequence_++;
-  queue_.push_back(std::move(event));
-  ++stats_.accepted;
-  stats_.high_water = std::max(stats_.high_water, queue_.size());
+  stats_.rejected_closed += n - i;
   lock.unlock();
-  not_empty_.notify_one();
-  return true;
+  if (i > 0) not_empty_.notify_one();
+  return i == n;
+}
+
+bool IngestQueue::push_span(std::span<const cds::CdsOption> options) {
+  return enqueue(options.size(),
+                 [options](std::size_t i) { return option_event(options[i]); });
+}
+
+bool IngestQueue::push(QuoteEvent event) {
+  return enqueue(1, [&event](std::size_t) { return std::move(event); });
 }
 
 void IngestQueue::close() {
@@ -89,31 +100,24 @@ void IngestQueue::close() {
   not_full_.notify_all();
 }
 
-std::optional<QuoteEvent> IngestQueue::pop() {
+std::size_t IngestQueue::pop_all(std::vector<QuoteEvent>& out,
+                                 std::optional<StreamClock::duration> timeout) {
   UniqueLock lock(mutex_);
-  not_empty_.wait(lock.native(), [this]() CDSFLOW_REQUIRES(mutex_) {
+  const auto ready = [this]() CDSFLOW_REQUIRES(mutex_) {
     return closed_ || !queue_.empty();
-  });
-  if (queue_.empty()) return std::nullopt;  // drained
-  QuoteEvent event = std::move(queue_.front());
-  queue_.pop_front();
+  };
+  if (timeout) {
+    not_empty_.wait_for(lock.native(), *timeout, ready);
+  } else {
+    not_empty_.wait(lock.native(), ready);
+  }
+  const std::size_t n = queue_.size();
+  std::move(queue_.begin(), queue_.end(), std::back_inserter(out));
+  queue_.clear();
   lock.unlock();
-  not_full_.notify_one();
-  return event;
-}
-
-std::optional<QuoteEvent> IngestQueue::pop_for(StreamClock::duration timeout) {
-  UniqueLock lock(mutex_);
-  not_empty_.wait_for(lock.native(), timeout,
-                      [this]() CDSFLOW_REQUIRES(mutex_) {
-                        return closed_ || !queue_.empty();
-                      });
-  if (queue_.empty()) return std::nullopt;  // timeout or drained
-  QuoteEvent event = std::move(queue_.front());
-  queue_.pop_front();
-  lock.unlock();
-  not_full_.notify_one();
-  return event;
+  // Every slot just freed may admit a different parked producer.
+  if (n > 0) not_full_.notify_all();
+  return n;
 }
 
 bool IngestQueue::closed() const {

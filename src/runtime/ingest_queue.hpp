@@ -16,7 +16,13 @@
 ///                        event to admit the new one (bounded latency, loses
 ///                        events). Both behaviours are *counted*
 ///                        (blocked_pushes / dropped_oldest) so the report
-///                        can say which price was paid.
+///                        can say which price was paid. The unit of handoff
+///                        is a request, not an event: push_span() enqueues a
+///                        run of options under one lock with one wake, and
+///                        the dispatcher's pop_all() takes everything queued
+///                        under one lock -- the paper's inter-option
+///                        dataflow, where a token moves between stages
+///                        without a per-element synchronisation.
 ///   * MicroBatcher    -- the dispatcher's flush policy: close the open
 ///                        micro-batch when it reaches `max_batch` events or
 ///                        when its oldest event has waited `max_wait` since
@@ -24,13 +30,18 @@
 ///                        ingest timestamps -- no clock of its own -- so
 ///                        tests drive it with a fake clock.
 ///
-/// Timestamps use steady_clock and are stamped once, on entry to push() --
+/// Timestamps use steady_clock and are stamped once per push, on entry --
 /// *before* any backpressure wait, so time a producer spends parked by the
-/// kBlock policy is charged to the event's latency (the sequence number is
-/// still assigned under the queue lock at enqueue, so sequences match queue
-/// order while ingest stamps of racing producers may interleave).
-/// Ingest-to-result latency and deadline accounting in the runtime all
-/// measure from that stamp.
+/// kBlock policy is charged to the events' latency; every event of one
+/// push_span() shares that stamp. Sequence numbers are assigned under the
+/// queue lock at enqueue, so sequences match queue order while ingest
+/// stamps of racing producers may interleave. Ingest-to-result latency and
+/// deadline accounting in the runtime all measure from that stamp.
+///
+/// kBlock wait protocol (docs/CONCURRENCY.md): a span larger than the free
+/// space enqueues what fits, wakes the consumer, and only then parks on
+/// not_full_ -- otherwise a span larger than the capacity would wait for a
+/// consumer that was never told there is anything to take.
 
 #pragma once
 
@@ -39,6 +50,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,8 +80,8 @@ struct QuoteEvent {
   Kind kind = Kind::kOption;
   /// Global arrival order, assigned by the queue at ingest.
   std::uint64_t sequence = 0;
-  /// Ingest timestamp, stamped on entry to IngestQueue::push -- before any
-  /// backpressure wait (latency measurements anchor here).
+  /// Ingest timestamp, stamped on entry to IngestQueue::push/push_span --
+  /// before any backpressure wait (latency measurements anchor here).
   StreamClock::time_point ingest{};
   /// kOption payload.
   cds::CdsOption option{};
@@ -88,9 +100,11 @@ struct IngestQueueStats {
   std::uint64_t accepted = 0;
   /// Events evicted by the kDropOldest policy (never reach the dispatcher).
   std::uint64_t dropped_oldest = 0;
-  /// Pushes rejected because the queue was already closed.
+  /// Events rejected because the queue was already closed (a span cut by
+  /// close() counts each event it could not enqueue).
   std::uint64_t rejected_closed = 0;
-  /// Pushes that had to wait for space (kBlock policy).
+  /// Times a producer had to wait for space (kBlock policy; a span counts
+  /// each wait it makes).
   std::uint64_t blocked_pushes = 0;
   /// Maximum queue depth observed.
   std::size_t high_water = 0;
@@ -104,24 +118,32 @@ class IngestQueue {
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
 
-  /// Multi-producer push. Stamps the ingest time on entry (so a blocked
-  /// kBlock push charges its wait to the event's latency), assigns the
-  /// sequence number at enqueue, and enqueues. Returns false only when the
-  /// queue is closed (the event is discarded); under kDropOldest a push
-  /// into a full queue evicts the oldest event and still returns true.
+  /// Multi-producer push of one run of option events as one handoff: one
+  /// ingest stamp (on entry, before any wait), one lock, contiguous sequence
+  /// numbers and one consumer wake. Returns false when the queue is closed
+  /// before every option is enqueued (the rest are discarded and counted as
+  /// rejected_closed). Under kDropOldest the outcome -- queue contents,
+  /// sequences and stats -- equals pushing the options one by one. Under
+  /// kBlock a span larger than the free space enqueues what fits, wakes the
+  /// consumer, then waits; another producer may enqueue at such a wait, so
+  /// only a span that never waits is guaranteed contiguous in the queue.
+  bool push_span(std::span<const cds::CdsOption> options)
+      CDSFLOW_EXCLUDES(mutex_);
+
+  /// One event (an option or a hazard quote) through the push_span() path.
   bool push(QuoteEvent event) CDSFLOW_EXCLUDES(mutex_);
 
   /// No more pushes will be accepted; parked producers and the consumer are
   /// released. Events already queued remain poppable (close-then-drain).
   void close() CDSFLOW_EXCLUDES(mutex_);
 
-  /// Single-consumer pop: waits until an event is available or the queue is
-  /// drained (closed and empty, -> nullopt).
-  std::optional<QuoteEvent> pop() CDSFLOW_EXCLUDES(mutex_);
-
-  /// Like pop() but gives up after `timeout`; nullopt on timeout or drain
+  /// Single-consumer pop of *every* queued event: waits until one is queued,
+  /// the queue is drained (closed and empty) or `timeout` (none: no limit)
+  /// elapses, then appends all queued events to `out` in queue order under
+  /// one lock. Returns how many it appended; 0 on timeout or drain
   /// (disambiguate with drained()).
-  std::optional<QuoteEvent> pop_for(StreamClock::duration timeout)
+  std::size_t pop_all(std::vector<QuoteEvent>& out,
+                      std::optional<StreamClock::duration> timeout = {})
       CDSFLOW_EXCLUDES(mutex_);
 
   bool closed() const CDSFLOW_EXCLUDES(mutex_);
@@ -133,6 +155,11 @@ class IngestQueue {
   IngestQueueStats stats() const CDSFLOW_EXCLUDES(mutex_);
 
  private:
+  /// The one enqueue path: enqueues make_event(i) for i in [0, n) stamped
+  /// with one ingest time (see push_span() for the contract).
+  template <typename MakeEvent>
+  bool enqueue(std::size_t n, MakeEvent make_event) CDSFLOW_EXCLUDES(mutex_);
+
   const std::size_t capacity_;
   const BackpressurePolicy policy_;
 

@@ -15,7 +15,11 @@ namespace stream_detail {
 
 void BatchCollector::put(BatchResult result) {
   MutexLock lock(mutex_);
-  results_.push_back(std::move(result));
+  const std::size_t index = result.index;
+  if (index >= slots_.size()) slots_.resize(index + 1);
+  CDSFLOW_ASSERT(!slots_[index].has_value(),
+                 "micro-batch merge received a batch index twice");
+  slots_[index] = std::move(result);
   if (notify_) notify_();
 }
 
@@ -26,35 +30,33 @@ void BatchCollector::set_notifier(std::function<void()> notify) {
 
 std::vector<BatchResult> BatchCollector::take() {
   MutexLock lock(mutex_);
-  std::sort(results_.begin(), results_.end(),
-            [](const BatchResult& a, const BatchResult& b) {
-              return a.index < b.index;
-            });
-  for (std::size_t i = 0; i < results_.size(); ++i) {
-    CDSFLOW_ASSERT(results_[i].index == i,
+  std::vector<BatchResult> results;
+  results.reserve(slots_.size());
+  for (auto& slot : slots_) {
+    CDSFLOW_ASSERT(slot.has_value(),
                    "micro-batch merge lost or duplicated a batch");
+    results.push_back(std::move(*slot));
   }
-  return std::move(results_);
+  slots_.clear();
+  return results;
 }
 
 std::vector<BatchResult> BatchCollector::peek_ready(std::size_t begin) const {
   MutexLock lock(mutex_);
-  // results_ is small and unsorted (lanes complete out of order); walk the
-  // contiguous index run from `begin` with a linear probe per step.
   std::vector<BatchResult> ready;
-  for (std::size_t want = begin;; ++want) {
-    const auto it =
-        std::find_if(results_.begin(), results_.end(),
-                     [want](const BatchResult& r) { return r.index == want; });
-    if (it == results_.end()) break;
-    ready.push_back(*it);
+  for (std::size_t i = begin; i < slots_.size(); ++i) {
+    const std::optional<BatchResult>& slot = slots_[i];
+    if (!slot) break;
+    ready.push_back(*slot);
   }
   return ready;
 }
 
 std::size_t BatchCollector::count() const {
   MutexLock lock(mutex_);
-  return results_.size();
+  return static_cast<std::size_t>(
+      std::count_if(slots_.begin(), slots_.end(),
+                    [](const auto& slot) { return slot.has_value(); }));
 }
 
 }  // namespace stream_detail
@@ -109,6 +111,10 @@ bool StreamRuntime::push(const cds::CdsOption& option) {
   return queue_.push(option_event(option));
 }
 
+bool StreamRuntime::push_span(std::span<const cds::CdsOption> options) {
+  return queue_.push_span(options);
+}
+
 bool StreamRuntime::push_hazard_quote(std::size_t knot, double rate) {
   return queue_.push(hazard_quote_event(knot, rate));
 }
@@ -137,16 +143,19 @@ void StreamRuntime::submit_batch(std::vector<QuoteEvent> events) {
   // shared_ptr because ThreadPool tasks are std::function (copyable).
   auto batch = std::make_shared<std::vector<QuoteEvent>>(std::move(events));
   in_flight_.push_back(pool_->submit([this, index, batch] {
+    // Move the events onto the task's frame: the future keeps the task (and
+    // this capture) alive until it is reaped, the events only until priced.
+    const std::vector<QuoteEvent> priced = std::move(*batch);
     const ReplicaPool::Lease lane(*replicas_);
     cds::StreamPricer& pricer = *pricers_[lane.index()];
-    const std::size_t n = batch->size();
+    const std::size_t n = priced.size();
 
     stream_detail::BatchResult out;
     out.index = index;
     out.lane = static_cast<unsigned>(lane.index());
     std::vector<cds::CdsOption> options;
     options.reserve(n);
-    for (const QuoteEvent& event : *batch) options.push_back(event.option);
+    for (const QuoteEvent& event : priced) options.push_back(event.option);
     out.results.resize(n);
 
     const auto t0 = StreamClock::now();
@@ -163,12 +172,24 @@ void StreamRuntime::submit_batch(std::vector<QuoteEvent> events) {
     out.pricing_seconds = std::chrono::duration<double>(t1 - t0).count();
     out.done = t1;
     out.latency_seconds.reserve(n);
-    for (const QuoteEvent& event : *batch) {
+    for (const QuoteEvent& event : priced) {
       out.latency_seconds.push_back(
           std::chrono::duration<double>(t1 - event.ingest).count());
     }
     collector_.put(std::move(out));
   }));
+  in_flight_high_water_ = std::max(in_flight_high_water_, in_flight_.size());
+}
+
+void StreamRuntime::reap_finished() {
+  // Lanes finish roughly in index order, so reaping the finished front keeps
+  // in_flight_ at about the number of busy lanes.
+  while (!in_flight_.empty() &&
+         in_flight_.front().wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready) {
+    in_flight_.front().get();  // rethrows the batch's failure
+    in_flight_.pop_front();
+  }
 }
 
 void StreamRuntime::barrier() {
@@ -180,19 +201,20 @@ void StreamRuntime::dispatch_loop() {
   try {
     MicroBatcher batcher(config_.max_batch,
                          us_to_duration(config_.max_wait_us));
+    std::vector<QuoteEvent> events;
     for (;;) {
-      std::optional<QuoteEvent> event;
+      events.clear();
       if (batcher.open()) {
-        event = queue_.pop_for(batcher.time_until_due(StreamClock::now()));
+        queue_.pop_all(events, batcher.time_until_due(StreamClock::now()));
       } else {
-        event = queue_.pop();  // parked until an event arrives or we drain
+        queue_.pop_all(events);  // parked until events arrive or we drain
       }
-      if (event) {
+      for (QuoteEvent& event : events) {
         if (!first_ingest_set_) {
-          first_ingest_ = event->ingest;
+          first_ingest_ = event.ingest;
           first_ingest_set_ = true;
         }
-        if (event->kind == QuoteEvent::Kind::kHazardQuote) {
+        if (event.kind == QuoteEvent::Kind::kHazardQuote) {
           // A quote update is an ordering point: everything ingested before
           // it prices on the old curve, everything after on the new one.
           // Flush, drain the in-flight batches, then move every lane
@@ -200,14 +222,15 @@ void StreamRuntime::dispatch_loop() {
           if (batcher.open()) submit_batch(batcher.take());
           barrier();
           for (auto& pricer : pricers_) {
-            pricer->update_hazard_quote(event->knot, event->rate);
+            pricer->update_hazard_quote(event.knot, event.rate);
           }
           ++hazard_updates_;
-        } else if (batcher.add(std::move(*event))) {
+        } else if (batcher.add(std::move(event))) {
           submit_batch(batcher.take());
         }
-        continue;
       }
+      reap_finished();
+      if (!events.empty()) continue;
       // Timed out or drained: flush an overdue partial batch either way.
       if (batcher.due(StreamClock::now())) submit_batch(batcher.take());
       if (queue_.drained()) {
@@ -239,6 +262,7 @@ StreamReport StreamRuntime::finish() {
   StreamReport report;
   report.lanes = lanes_;
   report.hazard_updates = hazard_updates_;
+  report.in_flight_high_water = in_flight_high_water_;
   const IngestQueueStats qstats = queue_.stats();
   report.events_in = qstats.accepted;
   report.events_dropped = qstats.dropped_oldest;
@@ -334,18 +358,32 @@ void StreamRuntime::set_completion_notifier(std::function<void()> notify) {
 
 StreamReport StreamRuntime::play(
     const std::vector<workload::QuoteFeedEvent>& feed) {
+  using Kind = workload::QuoteFeedEvent::Kind;
   const auto t0 = StreamClock::now();
-  for (const auto& event : feed) {
-    if (event.offset_seconds > 0.0) {
+  std::vector<cds::CdsOption> run;
+  for (std::size_t i = 0; i < feed.size();) {
+    const double offset = feed[i].offset_seconds;
+    if (offset > 0.0) {
       std::this_thread::sleep_until(
           t0 + std::chrono::duration_cast<StreamClock::duration>(
-                   std::chrono::duration<double>(event.offset_seconds)));
+                   std::chrono::duration<double>(offset)));
     }
-    if (event.kind == workload::QuoteFeedEvent::Kind::kHazardQuote) {
-      push_hazard_quote(event.knot, event.rate);
-    } else {
-      push(event.option);
+    if (feed[i].kind == Kind::kHazardQuote) {
+      push_hazard_quote(feed[i].knot, feed[i].rate);
+      ++i;
+      continue;
     }
+    // A run of options arriving together is one request: one handoff. An
+    // unpaced feed is one long run; cutting it at micro-batch size keeps a
+    // span within the queue, so drop-oldest does not evict what a
+    // dispatcher running alongside would have taken.
+    run.clear();
+    for (; i < feed.size() && feed[i].kind == Kind::kOption &&
+           feed[i].offset_seconds == offset && run.size() < config_.max_batch;
+         ++i) {
+      run.push_back(feed[i].option);
+    }
+    push_span(run);
   }
   return finish();
 }

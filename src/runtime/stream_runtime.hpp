@@ -9,23 +9,31 @@
 /// exclusive pricer replica, and the same list-schedule gives the modelled
 /// (paper-style) throughput figure next to the measured wall figure.
 ///
-/// Dataflow:
+/// Dataflow (one handoff per request, not per event):
 ///
-///   producers --push--> IngestQueue (bounded; block / drop-oldest, counted)
-///                           |
+///   producers --push_span(request) / push(event)-->
+///                  IngestQueue (bounded; block / drop-oldest, counted)
+///                           |  pop_all: every queued event, one lock
 ///                      dispatcher thread: MicroBatcher
-///                      (flush on max_batch or max_wait)
+///                      (walks the events in order; flush on max_batch
+///                       or max_wait)
 ///                           |              .
 ///                   option micro-batch     hazard-quote event
 ///                           |                   |
 ///                  ThreadPool lane           barrier (drain in-flight),
 ///                  (StreamPricer replica)    then update *every* replica
 ///                           |                incrementally
-///                  BatchCollector.put(index, results)
+///                  BatchCollector.put(index, results): slot `index`
 ///                           |  then the completion notifier, if set
 ///                           |  (the service's wake of its poll loop)
-///                  finish(): concatenate batches in index order
+///                  poll_batches(): the filled run of slots from the last
+///                  poll -- O(ready), not O(batches priced so far)
+///                  finish(): every slot in index order
 ///                  == event ingest order, whatever order lanes finished in
+///
+/// The dispatcher reaps finished batch futures on every loop, so a
+/// quote-free stream holds only the batches still in flight, not one task
+/// per batch ever priced (StreamReport::in_flight_high_water).
 ///
 /// Determinism guarantee: micro-batches are formed and indexed in ingest
 /// (sequence) order, every lane replica holds identical curve/grid state
@@ -54,9 +62,13 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
+#include <future>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +132,8 @@ struct StreamReport {
   std::uint64_t events_dropped = 0;  ///< evicted by kDropOldest
   std::uint64_t blocked_pushes = 0;  ///< kBlock pushes that had to wait
   std::size_t queue_high_water = 0;
+  /// Most micro-batches submitted to the lanes and not yet reaped at once.
+  std::size_t in_flight_high_water = 0;
   /// Incremental-risk accounting (sums over all lanes' pricers).
   std::uint64_t grids_retabulated = 0;
   std::uint64_t full_rebuild_grids = 0;  ///< what per-update rebuilds cost
@@ -153,31 +167,35 @@ struct BatchResult {
 
 /// Thread-safe store of priced micro-batches, merged back in batch-index
 /// order regardless of completion order -- the streaming counterpart of the
-/// batch runtime's shard merge.
+/// batch runtime's shard merge. Batch i lives in slot i, so the ready run
+/// from any index is found without searching.
 class BatchCollector {
  public:
-  /// Any lane, any order. Indices must be unique. Stores the batch, then
-  /// calls the notifier (under the lock, so it never runs after a
-  /// set_notifier() that replaced it).
+  /// Any lane, any order. Stores the batch in slot `result.index` (asserts
+  /// the slot is empty: no batch index twice), then calls the notifier
+  /// (under the lock, so it never runs after a set_notifier() that replaced
+  /// it).
   void put(BatchResult result) CDSFLOW_EXCLUDES(mutex_);
   /// Installs the callback put() makes after each stored batch; empty
   /// clears it. It must be cheap, must not block and must not call back
   /// into the collector.
   void set_notifier(std::function<void()> notify) CDSFLOW_EXCLUDES(mutex_);
-  /// Hands back all batches sorted by index; asserts they are the
-  /// contiguous range 0..n-1 (no batch lost, none duplicated).
+  /// Hands back all batches in index order; asserts they are the contiguous
+  /// range 0..n-1 (no batch lost, none duplicated).
   std::vector<BatchResult> take() CDSFLOW_EXCLUDES(mutex_);
-  /// Copies the contiguous completed prefix starting at batch index `begin`
-  /// (stops at the first gap) without removing anything -- the incremental
-  /// counterpart of take() for callers that need results while the stream
-  /// is still live. take()'s contiguity assertion is unaffected.
+  /// Copies the contiguous completed run starting at batch index `begin`
+  /// (stops at the first empty slot) without removing anything -- the
+  /// incremental counterpart of take() for callers that need results while
+  /// the stream is still live. Costs O(run), whatever came before `begin`.
   std::vector<BatchResult> peek_ready(std::size_t begin) const
       CDSFLOW_EXCLUDES(mutex_);
+  /// Batches stored so far (walks every slot).
   std::size_t count() const CDSFLOW_EXCLUDES(mutex_);
 
  private:
   mutable Mutex mutex_;
-  std::vector<BatchResult> results_ CDSFLOW_GUARDED_BY(mutex_);
+  /// Slot i holds batch i once put; a deque so growth never moves a batch.
+  std::deque<std::optional<BatchResult>> slots_ CDSFLOW_GUARDED_BY(mutex_);
   std::function<void()> notify_ CDSFLOW_GUARDED_BY(mutex_);
 };
 
@@ -196,7 +214,9 @@ class StreamRuntime {
   StreamRuntime& operator=(const StreamRuntime&) = delete;
 
   /// Producer API (thread-safe, many producers). Returns false once the
-  /// stream is closed.
+  /// stream is closed. push_span() enqueues a request's options as one
+  /// handoff (IngestQueue::push_span); push() is the one-option case.
+  bool push_span(std::span<const cds::CdsOption> options);
   bool push(const cds::CdsOption& option);
   bool push_hazard_quote(std::size_t knot, double rate);
 
@@ -209,8 +229,9 @@ class StreamRuntime {
   StreamReport finish();
 
   /// Convenience: plays a pre-materialised feed -- pacing producers by the
-  /// events' arrival offsets (sleep-until; offsets of 0 push back-to-back)
-  /// -- then finish()es.
+  /// events' arrival offsets (sleep-until; offsets of 0 push back-to-back),
+  /// each run of options sharing one offset pushed as push_span()s of at
+  /// most max_batch options -- then finish()es.
   StreamReport play(const std::vector<workload::QuoteFeedEvent>& feed);
 
   /// Session hook for live consumers (the pricing service): hands back the
@@ -242,6 +263,9 @@ class StreamRuntime {
   void dispatch_loop();
   /// Submits one option micro-batch to the pool (dispatcher thread only).
   void submit_batch(std::vector<QuoteEvent> events);
+  /// Retires the finished front of in_flight_, rethrowing a failure
+  /// (dispatcher thread only).
+  void reap_finished();
   /// Waits for every in-flight micro-batch (dispatcher thread only).
   void barrier();
 
@@ -262,7 +286,8 @@ class StreamRuntime {
   /// capability on purpose: adding a mutex here would claim a concurrency
   /// that never happens.
   std::thread dispatcher_;
-  std::vector<std::future<void>> in_flight_;
+  std::deque<std::future<void>> in_flight_;
+  std::size_t in_flight_high_water_ = 0;
   std::size_t next_batch_index_ = 0;
   std::uint64_t hazard_updates_ = 0;
   std::exception_ptr failure_;

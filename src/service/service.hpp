@@ -13,13 +13,17 @@
 ///      |                 |
 ///    admit             defer
 ///      v                 v
-///   tenant StreamRuntime ingest (frame order)
+///   tenant StreamRuntime ingest (frame order): one push_span per request,
+///   one lock and one dispatcher wake whatever its option count
 ///      |
-///   lane finishes a micro-batch: BatchCollector::put, then the server's
-///   Waker::wake() -- poll() returns, the loop drains the wake pipe
+///   lane finishes a micro-batch: BatchCollector::put into slot `index`,
+///   then the server's Waker::wake() -- poll() returns, the loop drains the
+///   wake pipe
 ///      |
 ///   on_tick: poll_batches -> per-request result spans -> kResult frames
-///            (status byte says on-time vs deferred)
+///            (status byte says on-time vs deferred). The harvest walks
+///            only the batches completed since the last tick, so a tick
+///            costs the same late in a long session as early in it.
 ///
 /// Every tenant's completion notifier is bound to the server's Waker the
 /// first time on_frame() or on_tick() hands the service a Server&, so the

@@ -101,9 +101,9 @@ AdmissionDecision TenantSession::submit(
       spec_.id, request, options.size(), now_seconds, spec_.deadline);
   if (decision == AdmissionDecision::kShed) return decision;
 
-  // Admitted work enters the event stream atomically in frame order; the
-  // runtime's ordered merge then guarantees the request owns a contiguous
-  // result span (see file header).
+  // Admitted work enters the event stream as one handoff, in frame order;
+  // the runtime's ordered merge then guarantees the request owns a
+  // contiguous result span (see file header).
   Pending pending;
   pending.conn = conn;
   pending.request = request;
@@ -112,7 +112,7 @@ AdmissionDecision TenantSession::submit(
                        ? net::kResultDeferred
                        : net::kResultOnTime;
   pending.arrival_seconds = now_seconds;
-  for (const auto& option : options) runtime_.push(option);
+  runtime_.push_span(options);
   pending_.push_back(pending);
   return decision;
 }

@@ -1,15 +1,18 @@
 /// \file test_stream_ingest.cpp
 /// The streaming ingest runtime: bounded-queue backpressure (blocking vs
-/// drop-oldest, both counted), micro-batch flush policy on a fake clock,
+/// drop-oldest, both counted), request-granular push_span() against
+/// one-by-one pushes, micro-batch flush policy on a fake clock,
 /// deterministic merge of out-of-order batch completions, and end-to-end
 /// equivalence of the concurrent stream with a serial replay -- hazard-quote
 /// updates included.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -58,7 +61,8 @@ TEST(IngestQueue, BlockPolicyIsLosslessAndCountsWaits) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   std::vector<QuoteEvent> events;
-  while (auto event = queue.pop()) events.push_back(*event);
+  while (queue.pop_all(events) > 0) {
+  }
   producer.join();
 
   ASSERT_EQ(events.size(), 6u);
@@ -95,13 +99,16 @@ TEST(IngestQueue, BlockedPushChargesWaitToIngestLatency) {
   // Slow consumer: hold the queue full while the producer stays blocked.
   const auto blocked_for = std::chrono::milliseconds(50);
   std::this_thread::sleep_for(blocked_for);
-  ASSERT_TRUE(queue.pop().has_value());  // frees space, releases producer
+  std::vector<QuoteEvent> popped;
+  // Frees space, releases the producer.
+  ASSERT_EQ(queue.pop_all(popped), 1u);
   producer.join();
 
-  const auto blocked = queue.pop();
-  ASSERT_TRUE(blocked.has_value());
-  EXPECT_EQ(blocked->option.id, 1);
-  const auto latency = StreamClock::now() - blocked->ingest;
+  popped.clear();
+  ASSERT_EQ(queue.pop_all(popped), 1u);
+  const QuoteEvent& blocked = popped.front();
+  EXPECT_EQ(blocked.option.id, 1);
+  const auto latency = StreamClock::now() - blocked.ingest;
   // Pre-fix this measured ~0 (stamped after the wait); post-fix it covers
   // the whole blocked interval. Allow generous slack under sanitizers.
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(latency),
@@ -121,13 +128,14 @@ TEST(IngestQueue, DropOldestEvictsStalestAndCounts) {
 
   queue.close();
   // The survivors are the newest four, still in ingest order.
+  std::vector<QuoteEvent> survivors;
+  ASSERT_EQ(queue.pop_all(survivors), 4u);
   for (std::int32_t want = 6; want < 10; ++want) {
-    const auto event = queue.pop();
-    ASSERT_TRUE(event.has_value());
-    EXPECT_EQ(event->option.id, want);
-    EXPECT_EQ(event->sequence, static_cast<std::uint64_t>(want));
+    const QuoteEvent& event = survivors[static_cast<std::size_t>(want - 6)];
+    EXPECT_EQ(event.option.id, want);
+    EXPECT_EQ(event.sequence, static_cast<std::uint64_t>(want));
   }
-  EXPECT_FALSE(queue.pop().has_value());
+  EXPECT_EQ(queue.pop_all(survivors), 0u);
   EXPECT_TRUE(queue.drained());
 }
 
@@ -138,15 +146,220 @@ TEST(IngestQueue, CloseRejectsPushesAndDrains) {
   EXPECT_FALSE(queue.push(runtime::option_event(option_with_id(1))));
   EXPECT_EQ(queue.stats().rejected_closed, 1u);
   EXPECT_FALSE(queue.drained());  // one event still queued
-  EXPECT_TRUE(queue.pop().has_value());
+  std::vector<QuoteEvent> events;
+  EXPECT_EQ(queue.pop_all(events), 1u);
   EXPECT_TRUE(queue.drained());
-  EXPECT_FALSE(queue.pop().has_value());
+  EXPECT_EQ(queue.pop_all(events), 0u);
 }
 
-TEST(IngestQueue, PopForTimesOutOnEmptyOpenQueue) {
+TEST(IngestQueue, PopAllTimesOutOnEmptyOpenQueue) {
   IngestQueue queue(4, BackpressurePolicy::kBlock);
-  EXPECT_FALSE(queue.pop_for(std::chrono::milliseconds(1)).has_value());
+  std::vector<QuoteEvent> events;
+  EXPECT_EQ(queue.pop_all(events, std::chrono::milliseconds(1)), 0u);
+  EXPECT_TRUE(events.empty());
   EXPECT_FALSE(queue.drained());  // timed out, not drained
+}
+
+// --- push_span: one handoff per request -------------------------------------
+
+std::vector<cds::CdsOption> options_with_ids(std::int32_t first,
+                                             std::size_t n) {
+  std::vector<cds::CdsOption> options;
+  for (std::size_t i = 0; i < n; ++i) {
+    options.push_back(option_with_id(first + static_cast<std::int32_t>(i)));
+  }
+  return options;
+}
+
+/// Pops everything a closed queue still holds.
+std::vector<QuoteEvent> drain_closed(IngestQueue& queue) {
+  std::vector<QuoteEvent> events;
+  while (queue.pop_all(events) > 0) {
+  }
+  return events;
+}
+
+void expect_same_stats(const runtime::IngestQueueStats& a,
+                       const runtime::IngestQueueStats& b) {
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.dropped_oldest, b.dropped_oldest);
+  EXPECT_EQ(a.rejected_closed, b.rejected_closed);
+  EXPECT_EQ(a.blocked_pushes, b.blocked_pushes);
+  EXPECT_EQ(a.high_water, b.high_water);
+}
+
+void expect_same_events(const std::vector<QuoteEvent>& a,
+                        const std::vector<QuoteEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].option.id, b[i].option.id) << "at " << i;
+    EXPECT_EQ(a[i].sequence, b[i].sequence) << "at " << i;
+  }
+}
+
+TEST(IngestQueue, PushSpanAssignsContiguousSequencesAndOneIngestStamp) {
+  IngestQueue queue(16, BackpressurePolicy::kBlock);
+  ASSERT_TRUE(queue.push(runtime::option_event(option_with_id(100))));
+  const auto request = options_with_ids(0, 5);
+  ASSERT_TRUE(queue.push_span(request));
+  queue.close();
+  const auto events = drain_closed(queue);
+
+  ASSERT_EQ(events.size(), 6u);
+  EXPECT_EQ(events[0].option.id, 100);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].sequence, i);
+  }
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].kind, QuoteEvent::Kind::kOption);
+    EXPECT_EQ(events[i].option.id, static_cast<std::int32_t>(i - 1));
+    EXPECT_EQ(events[i].ingest, events[1].ingest) << "at " << i;
+  }
+  EXPECT_LE(events[0].ingest, events[1].ingest);
+}
+
+TEST(IngestQueue, PushSpanStatsMatchOneByOnePushes) {
+  IngestQueue spans(8, BackpressurePolicy::kBlock);
+  IngestQueue singles(8, BackpressurePolicy::kBlock);
+  const auto request = options_with_ids(0, 5);
+  ASSERT_TRUE(spans.push_span(request));
+  for (const auto& option : request) {
+    ASSERT_TRUE(singles.push(runtime::option_event(option)));
+  }
+  expect_same_stats(spans.stats(), singles.stats());
+
+  // After close every option of a span is rejected, as a push each would be.
+  spans.close();
+  singles.close();
+  EXPECT_FALSE(spans.push_span(request));
+  for (const auto& option : request) {
+    EXPECT_FALSE(singles.push(runtime::option_event(option)));
+  }
+  EXPECT_EQ(spans.stats().rejected_closed, 5u);
+  expect_same_stats(spans.stats(), singles.stats());
+  expect_same_events(drain_closed(spans), drain_closed(singles));
+}
+
+TEST(IngestQueue, PushSpanUnderDropOldestEqualsOneByOnePushes) {
+  // A span that overflows a partly full queue, and one longer than the
+  // whole capacity.
+  for (const std::size_t queued : {2u, 0u}) {
+    SCOPED_TRACE(queued);
+    IngestQueue spans(4, BackpressurePolicy::kDropOldest);
+    IngestQueue singles(4, BackpressurePolicy::kDropOldest);
+    const auto head = options_with_ids(0, queued);
+    const auto request = options_with_ids(50, 7);
+    for (const auto& option : head) {
+      ASSERT_TRUE(spans.push(runtime::option_event(option)));
+      ASSERT_TRUE(singles.push(runtime::option_event(option)));
+    }
+    EXPECT_TRUE(spans.push_span(request));
+    for (const auto& option : request) {
+      EXPECT_TRUE(singles.push(runtime::option_event(option)));
+    }
+    expect_same_stats(spans.stats(), singles.stats());
+    EXPECT_EQ(spans.stats().dropped_oldest, queued + 7 - 4);
+    spans.close();
+    singles.close();
+    const auto survivors = drain_closed(spans);
+    expect_same_events(survivors, drain_closed(singles));
+    ASSERT_EQ(survivors.size(), 4u);
+    EXPECT_EQ(survivors.back().option.id, 56);
+  }
+}
+
+TEST(IngestQueue, CloseMidSpanRejectsTheRest) {
+  IngestQueue queue(4, BackpressurePolicy::kBlock);
+  const auto request = options_with_ids(0, 10);
+  std::atomic<bool> pushed{true};
+  std::thread producer(
+      [&queue, &request, &pushed] { pushed = queue.push_span(request); });
+  // No consumer: the span fills the queue and parks on the fifth option.
+  for (int spin = 0; spin < 2000 && queue.stats().blocked_pushes == 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(queue.stats().blocked_pushes, 1u);
+  queue.close();
+  producer.join();
+
+  EXPECT_FALSE(pushed);
+  const auto stats = queue.stats();
+  EXPECT_EQ(stats.accepted, 4u);
+  EXPECT_EQ(stats.rejected_closed, 6u);
+  const auto events = drain_closed(queue);
+  ASSERT_EQ(events.size(), 4u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].option.id, static_cast<std::int32_t>(i));
+  }
+  EXPECT_TRUE(queue.drained());
+}
+
+TEST(IngestQueue, BlockSpanOfThreeCapacitiesCompletesWithLiveConsumer) {
+  // The span must wake the consumer before it parks for space, or a span
+  // larger than the queue would wait forever.
+  constexpr std::size_t kCapacity = 16;
+  IngestQueue queue(kCapacity, BackpressurePolicy::kBlock);
+  std::vector<QuoteEvent> events;
+  std::thread consumer([&queue, &events] {
+    while (queue.pop_all(events) > 0) {
+    }
+  });
+  const auto request = options_with_ids(0, 3 * kCapacity);
+  EXPECT_TRUE(queue.push_span(request));
+  queue.close();
+  consumer.join();
+
+  ASSERT_EQ(events.size(), request.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].sequence, i);
+    EXPECT_EQ(events[i].option.id, static_cast<std::int32_t>(i));
+  }
+  const auto stats = queue.stats();
+  EXPECT_EQ(stats.accepted, request.size());
+  EXPECT_GE(stats.blocked_pushes, 1u);
+  EXPECT_EQ(stats.high_water, kCapacity);
+}
+
+TEST(IngestQueue, MultiProducerSpansUnderBlockAreLosslessAndOrdered) {
+  // Stress for the sanitizer builds: four producers push 64-option
+  // requests into a queue smaller than one request while the consumer
+  // takes everything queued at each pop_all.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kRequests = 50;
+  constexpr std::size_t kRequestOptions = 64;
+  IngestQueue queue(8, BackpressurePolicy::kBlock);
+  std::vector<QuoteEvent> events;
+  std::thread consumer([&queue, &events] {
+    while (queue.pop_all(events) > 0) {
+    }
+  });
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&queue, p] {
+      for (std::size_t r = 0; r < kRequests; ++r) {
+        const auto first =
+            static_cast<std::int32_t>((p * kRequests + r) * kRequestOptions);
+        ASSERT_TRUE(queue.push_span(options_with_ids(first, kRequestOptions)));
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  queue.close();
+  consumer.join();
+
+  ASSERT_EQ(events.size(), kProducers * kRequests * kRequestOptions);
+  std::vector<std::int32_t> last_id(kProducers, -1);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].sequence, i);
+    const auto id = events[i].option.id;
+    const auto p = static_cast<std::size_t>(id) / (kRequests * kRequestOptions);
+    ASSERT_LT(p, kProducers);
+    EXPECT_GT(id, last_id[p]) << "producer " << p << " reordered at " << i;
+    last_id[p] = id;
+  }
+  EXPECT_EQ(queue.stats().accepted, events.size());
+  EXPECT_LE(queue.stats().high_water, 8u);
 }
 
 TEST(IngestQueue, RejectsZeroCapacity) {
@@ -247,6 +460,50 @@ TEST(BatchCollector, DetectsLostBatch) {
   collector.put(batch_result(0, 0, 1));
   collector.put(batch_result(2, 20, 1));  // index 1 never arrives
   EXPECT_THROW(collector.take(), Error);
+}
+
+TEST(BatchCollector, RejectsASecondPutOfOneIndex) {
+  runtime::stream_detail::BatchCollector collector;
+  collector.put(batch_result(0, 0, 1));
+  EXPECT_THROW(collector.put(batch_result(0, 0, 1)), Error);
+  EXPECT_EQ(collector.count(), 1u);
+}
+
+TEST(BatchCollector, PeekReadyFromTheMiddleOfTenThousandOutOfOrderPuts) {
+  constexpr std::size_t kBatches = 10'000;
+  constexpr std::size_t kGap = 7'000;  // withheld until the end
+  std::vector<std::size_t> order(kBatches);
+  for (std::size_t i = 0; i < kBatches; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(2024));
+
+  runtime::stream_detail::BatchCollector collector;
+  for (const std::size_t index : order) {
+    if (index == kGap) continue;
+    collector.put(batch_result(index, static_cast<std::int32_t>(index), 1));
+  }
+  EXPECT_EQ(collector.count(), kBatches - 1);
+
+  // From the middle, the ready run stops at the gap...
+  auto ready = collector.peek_ready(5'000);
+  ASSERT_EQ(ready.size(), kGap - 5'000);
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    EXPECT_EQ(ready[i].index, 5'000 + i);
+  }
+  EXPECT_TRUE(collector.peek_ready(kGap).empty());
+  // ...and runs to the end once the gap is filled.
+  collector.put(batch_result(kGap, static_cast<std::int32_t>(kGap), 1));
+  ready = collector.peek_ready(5'000);
+  ASSERT_EQ(ready.size(), kBatches - 5'000);
+  EXPECT_EQ(ready.back().index, kBatches - 1);
+  EXPECT_TRUE(collector.peek_ready(kBatches).empty());
+
+  // Peeking copies: take() still hands back every batch, in order.
+  const auto merged = collector.take();
+  ASSERT_EQ(merged.size(), kBatches);
+  for (std::size_t i = 0; i < kBatches; ++i) {
+    ASSERT_EQ(merged[i].index, i);
+    ASSERT_EQ(merged[i].results.front().id, static_cast<std::int32_t>(i));
+  }
 }
 
 // --- stream runtime end to end ----------------------------------------------
@@ -610,6 +867,87 @@ TEST(StreamRuntime, CompletionNotifierFiresOnlyAfterTheBatchIsPollable) {
   const auto report = rt.finish();
   EXPECT_EQ(notified.load(), report.batches.size());
   EXPECT_EQ(next_index, report.batches.size());
+}
+
+TEST(StreamRuntime, SpanIngestMatchesPerOptionIngestAndSerialReplay) {
+  // A quote after every 64-option request, as the service feeds a tenant:
+  // a runtime fed one push_span per request, one fed option by option and
+  // one StreamPricer fed in order agree to the bit, at one and three lanes.
+  const auto interest = test_interest();
+  const auto hazard = test_hazard();
+  const auto feed =
+      workload::make_quote_feed(small_feed_spec(65 * 12, 65), hazard);
+  const auto want = replay_serially(interest, hazard, feed);
+  ASSERT_EQ(want.size(), 64u * 12);
+
+  for (const unsigned lanes : {1u, 3u}) {
+    SCOPED_TRACE(lanes);
+    runtime::StreamConfig cfg;
+    cfg.lanes = lanes;
+    cfg.max_batch = 24;  // batches straddle requests
+    cfg.max_wait_us = 50;
+    runtime::StreamRuntime spans(interest, hazard, cfg);
+    runtime::StreamRuntime singles(interest, hazard, cfg);
+    std::vector<cds::CdsOption> request;
+    for (const auto& event : feed) {
+      if (event.kind == workload::QuoteFeedEvent::Kind::kOption) {
+        request.push_back(event.option);
+        ASSERT_TRUE(singles.push(event.option));
+        continue;
+      }
+      ASSERT_EQ(request.size(), 64u);
+      ASSERT_TRUE(spans.push_span(request));
+      request.clear();
+      ASSERT_TRUE(spans.push_hazard_quote(event.knot, event.rate));
+      ASSERT_TRUE(singles.push_hazard_quote(event.knot, event.rate));
+    }
+    const auto by_span = spans.finish();
+    const auto by_option = singles.finish();
+    EXPECT_EQ(by_span.hazard_updates, 12u);
+    ASSERT_EQ(by_span.run.results.size(), want.size());
+    ASSERT_EQ(by_option.run.results.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(by_span.run.results[i].id, want[i].id) << "at " << i;
+      EXPECT_EQ(by_span.run.results[i].spread_bps, want[i].spread_bps)
+          << "at " << i;
+      EXPECT_EQ(by_option.run.results[i].id, want[i].id) << "at " << i;
+      EXPECT_EQ(by_option.run.results[i].spread_bps, want[i].spread_bps)
+          << "at " << i;
+    }
+  }
+}
+
+TEST(StreamRuntime, QuoteFreeStreamReapsFinishedBatches) {
+  // Regression: finished batch futures -- and with them each batch's
+  // events -- were only released by a hazard quote's barrier or by
+  // finish(), so a quote-free stream held one task per batch ever priced.
+  // Paced so each batch completes before the next is pushed.
+  constexpr std::size_t kBatches = 200;
+  constexpr std::size_t kBatchOptions = 8;
+  runtime::StreamConfig cfg;
+  cfg.lanes = 1;
+  cfg.max_batch = kBatchOptions;  // every request flushes on full
+  cfg.max_wait_us = 100'000;
+  runtime::StreamRuntime rt(test_interest(), test_hazard(), cfg);
+  std::atomic<std::size_t> completed{0};
+  rt.set_completion_notifier(
+      [&completed] { completed.fetch_add(1, std::memory_order_release); });
+
+  const auto request = options_with_ids(0, kBatchOptions);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  for (std::size_t k = 0; k < kBatches; ++k) {
+    ASSERT_TRUE(rt.push_span(request));
+    while (completed.load(std::memory_order_acquire) <= k) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  const auto report = rt.finish();
+  EXPECT_EQ(report.batches.size(), kBatches);
+  EXPECT_EQ(report.events_priced, kBatches * kBatchOptions);
+  EXPECT_GE(report.in_flight_high_water, 1u);
+  EXPECT_LE(report.in_flight_high_water, 3u);
 }
 
 TEST(StreamRuntime, RejectsNonCpuEngines) {
