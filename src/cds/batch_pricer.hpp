@@ -26,9 +26,11 @@
 /// Numerics: every intermediate is computed with the same association order
 /// as the scalar reference (`price_breakdown`), so spreads agree with
 /// ReferencePricer bit-for-bit under default compilation (and to well below
-/// 1e-9 relative under any IEEE-conforming contraction). The HLS-mirroring
-/// fixed-bound scans stay untouched for the simulated engines -- they model
-/// what the hardware pays; this kernel is what the host should pay.
+/// 1e-9 relative under any IEEE-conforming contraction). The simulated
+/// engines model what the hardware pays for its fixed-bound scans in their
+/// stage work functions (cycles), not by running the scans on the host;
+/// the xilinx-baseline engine prices its values through this kernel at
+/// kScalar.
 ///
 /// *Risk pass* (price_with_sensitivities): the post-pricing Greeks workflow
 /// (cds/risk.hpp) reprices every option under six bumped scenarios plus two

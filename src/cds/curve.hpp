@@ -10,9 +10,9 @@
 /// Rate lookup is linear interpolation between bracketing knots, clamped at
 /// the ends. The FPGA kernels locate the bracket with a fixed-bound scan
 /// over all points (that scan is precisely the interpolation cost the paper
-/// vectorises); `find_bracket_scan` exposes the same loop for the engine
-/// kernels while `interpolate` uses it so every code path computes identical
-/// values.
+/// vectorises); `find_bracket_scan` is that loop and `interpolate` uses it.
+/// `interpolate_fast` finds the same bracket by binary search, so every
+/// code path computes identical values.
 
 #pragma once
 
@@ -55,9 +55,9 @@ class TermStructure {
   /// Same value as interpolate(), bracket located by binary search instead
   /// of the HLS-mirroring fixed-bound scan: O(log n) per query. The bracket
   /// index and the interpolation arithmetic are identical, so the result is
-  /// bit-for-bit equal to interpolate() -- this is the host fast path the
-  /// batch pricer uses, while the simulated engines keep paying the scan the
-  /// hardware pays.
+  /// bit-for-bit equal to interpolate(). The batch pricer and the simulated
+  /// engines' rate stage both use it; the simulated engines charge the
+  /// hardware's full-scan cycles separately, in their stage work functions.
   double interpolate_fast(double t) const;
 
   /// Throws cdsflow::Error if the invariants fail (used after deserialising

@@ -43,12 +43,25 @@ double integrated_hazard_listing1(const TermStructure& hazard, double t,
                                   unsigned lanes) {
   CDSFLOW_EXPECT(t >= 0.0, "integrated hazard requires t >= 0");
   CDSFLOW_EXPECT(lanes >= 1, "listing-1 integration requires >= 1 lane");
-  std::vector<double> partial(lanes, 0.0);
-  for (std::size_t j = 0; j < hazard.size(); ++j) {
-    partial[j % lanes] += hazard_element_contribution(hazard, j, t);
-  }
+  // An element whose segment starts at or after t contributes h * +0.0, a
+  // signed zero for any finite rate, and adding a signed zero to a partial
+  // that starts at +0.0 never changes it (the finite-rate assumption
+  // integrated_hazard_prefix makes too), so the walk stops at the first
+  // such segment. Lane j sums elements j, j + lanes, ... in increasing
+  // order -- exactly the adds the cyclic fill makes into partial[j] -- and
+  // the lanes fold in order: the same additions, with no lane array.
+  const std::vector<double>& times = hazard.times();
+  const std::size_t used = static_cast<std::size_t>(
+      std::lower_bound(times.begin(), times.end(), t) - times.begin());
+  const std::size_t stop = std::min(used + 1, hazard.size());
   double acc = 0.0;
-  for (unsigned j = 0; j < lanes; ++j) acc += partial[j];
+  for (unsigned lane = 0; lane < lanes; ++lane) {
+    double partial = 0.0;
+    for (std::size_t j = lane; j < stop; j += lanes) {
+      partial += hazard_element_contribution(hazard, j, t);
+    }
+    acc += partial;
+  }
   return acc + tail_contribution(hazard, t);
 }
 

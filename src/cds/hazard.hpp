@@ -50,6 +50,10 @@ double integrated_hazard(const TermStructure& hazard, double t);
 
 /// Listing-1 integrated hazard: `lanes` partial sums filled cyclically, then
 /// folded in lane order. lanes == 7 covers the 7-cycle double-add latency.
+/// Elements whose segment starts at or after t only add signed zeros, so the
+/// walk stops there: O(knots before t) with no allocation, bit-identical to
+/// the hardware's fixed-bound scan over every knot for finite rates. The
+/// simulated engines charge that scan's cycles in their stage work function.
 double integrated_hazard_listing1(const TermStructure& hazard, double t,
                                   unsigned lanes = 7);
 

@@ -184,7 +184,9 @@ GraphHandles build_cds_dataflow_graph(sim::Simulation& sim,
 
   // --- hazard integration (paper Listing 1 applied: II=1 scan) --------------
   // Occupancy: one scan element per cycle over the knots at or before t,
-  // plus the partial-lane fold epilogue and loop entry overhead.
+  // plus the partial-lane fold epilogue and loop entry overhead. The work
+  // function charges those cycles; the kernel computes the value in the
+  // Listing-1 summation order over the same knots (cds/hazard.hpp).
   const Cycle acc_ii = cost.optimised_accumulation_ii;
   const Cycle epilogue = cost.listing1_epilogue_cycles;
   const Cycle loop_oh = cost.loop_overhead_cycles;
@@ -208,7 +210,9 @@ GraphHandles build_cds_dataflow_graph(sim::Simulation& sim,
 
   // --- rate interpolation ----------------------------------------------------
   // Fixed-bound bracket scan over the whole interest curve (II=1, no carried
-  // dependency) followed by the slope division.
+  // dependency) followed by the slope division. The work function charges
+  // the full scan's cycles; the kernel locates the same bracket by binary
+  // search (interpolate_fast, bit-identical to the scan's interpolate).
   const Cycle interp_scan = static_cast<Cycle>(interest.size()) *
                                 cost.interpolation_scan_ii +
                             loop_oh;
@@ -216,7 +220,7 @@ GraphHandles build_cds_dataflow_graph(sim::Simulation& sim,
     return interp_scan;
   };
   auto interp_kernel = [&interest](const TimePointToken& tp) {
-    return RateToken{tp, interest.interpolate(tp.t)};
+    return RateToken{tp, interest.interpolate_fast(tp.t)};
   };
   auto interp_feed = [&interest](const TimePointToken&) {
     return static_cast<double>(interest.size());

@@ -1,7 +1,5 @@
 #include "engines/xilinx_baseline.hpp"
 
-#include "cds/legs.hpp"
-#include "cds/pricer.hpp"
 #include "cds/schedule.hpp"
 #include "common/error.hpp"
 #include "hls/dataflow.hpp"
@@ -11,27 +9,25 @@ namespace cdsflow::engine {
 XilinxBaselineEngine::XilinxBaselineEngine(cds::TermStructure interest,
                                            cds::TermStructure hazard,
                                            FpgaEngineConfig config)
-    : interest_(std::move(interest)),
-      hazard_(std::move(hazard)),
-      config_(config) {
-  interest_.validate();
-  hazard_.validate();
-}
+    : config_(config),
+      pricer_(std::move(interest), std::move(hazard),
+              cds::simd::Level::kScalar) {}
 
 std::vector<XilinxBaselineEngine::StageSpan>
 XilinxBaselineEngine::option_stage_spans(const cds::CdsOption& option) const {
   const auto& cost = config_.cost;
   const auto schedule = cds::make_schedule(option);
   const auto T = static_cast<sim::Cycle>(schedule.size());
-  const auto R = static_cast<sim::Cycle>(interest_.size());
+  const auto R = static_cast<sim::Cycle>(pricer_.interest().size());
   const sim::Cycle lo = cost.loop_overhead_cycles;
 
   // Hazard scans: for every time point the library re-accumulates the
   // constant data up to t at II=7 (the paper's central bottleneck).
+  const cds::TermStructure& hazard = pricer_.hazard();
   sim::Cycle hazard_scan = 0;
   for (const auto& tp : schedule) {
     const auto len =
-        static_cast<sim::Cycle>(hazard_.count_at_or_before(tp.t)) + 1;
+        static_cast<sim::Cycle>(hazard.count_at_or_before(tp.t)) + 1;
     hazard_scan += len * cost.baseline_accumulation_ii + cost.dexp_latency;
   }
 
@@ -62,9 +58,9 @@ PricingRun XilinxBaselineEngine::price(
     const std::vector<cds::CdsOption>& options) {
   CDSFLOW_EXPECT(!options.empty(), "price() requires options");
   PricingRun run;
-  run.results.reserve(options.size());
-
-  const cds::ReferencePricer pricer(interest_, hazard_);
+  // Values: bit-identical to the golden model (see the file comment).
+  run.results.resize(options.size());
+  pricer_.price(options, run.results, workspace_);
 
   // Trace tracks (shared across options so the Fig. 1 bench can show several
   // options back to back).
@@ -82,12 +78,9 @@ PricingRun XilinxBaselineEngine::price(
 
   sim::Cycle trace_clock = 0;
   const auto region = runner.run(options.size(), [&](std::uint64_t i) {
-    const auto& option = options[i];
-    // Values: identical operations and order as the golden model.
-    run.results.push_back({option.id, pricer.spread_bps(option)});
     // Cycles: sum of the sequential loop spans.
     sim::Cycle total = 0;
-    const auto spans = option_stage_spans(option);
+    const auto spans = option_stage_spans(options[i]);
     for (std::size_t s = 0; s < spans.size(); ++s) {
       if (config_.trace != nullptr) {
         config_.trace->record(tracks[s], trace_clock + total,
@@ -106,7 +99,7 @@ PricingRun XilinxBaselineEngine::price(
   if (config_.include_transfer) {
     const fpga::Interconnect pcie(config_.interconnect);
     const BatchTraffic traffic =
-        batch_traffic(interest_.size(), options.size());
+        batch_traffic(pricer_.interest().size(), options.size());
     run.transfer_seconds = pcie.transfer_seconds(traffic.total());
   }
   run.finalise(options.size());

@@ -10,13 +10,16 @@
 /// (contrast the dataflow engines, where it is the maximum), plus the
 /// per-option kernel restart.
 ///
-/// The implementation executes the reference math component-by-component
-/// (results are bit-identical to the golden pricer, which uses the same
-/// in-order summation) while charging cycles per the loop model; with a
-/// trace attached it emits the strictly sequential stage timeline of Fig. 1.
+/// Cycles are charged per the loop model (option_stage_spans); with a trace
+/// attached the engine emits the strictly sequential stage timeline of
+/// Fig. 1. Values come from a scalar-level cds::BatchPricer built once per
+/// engine, which is bit-identical to the golden ReferencePricer by its
+/// documented contract (the in-order summation the library uses), so the
+/// host does not repeat the O(knots) scans whose cycles the model charges.
 
 #pragma once
 
+#include "cds/batch_pricer.hpp"
 #include "cds/curve.hpp"
 #include "engines/engine.hpp"
 
@@ -44,9 +47,10 @@ class XilinxBaselineEngine final : public Engine {
   std::vector<StageSpan> option_stage_spans(const cds::CdsOption& option) const;
 
  private:
-  cds::TermStructure interest_;
-  cds::TermStructure hazard_;
   FpgaEngineConfig config_;
+  /// Owns the curves; interest()/hazard() also feed the cycle model.
+  cds::BatchPricer pricer_;
+  cds::BatchPricer::Workspace workspace_;
 };
 
 }  // namespace cdsflow::engine

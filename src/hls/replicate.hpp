@@ -49,8 +49,10 @@ class DistributorStage final : public StageBase {
         lanes_(std::move(lanes)),
         feed_cost_(std::move(feed_cost)) {
     CDSFLOW_EXPECT(!lanes_.empty(), "DistributorStage requires lanes");
+    in_.bind_reader(*this);
     for (auto* l : lanes_) {
       CDSFLOW_EXPECT(l != nullptr, "DistributorStage lane is null");
+      l->bind_writer(*this);
     }
   }
 
@@ -112,7 +114,9 @@ class CollectorStage final : public StageBase {
     CDSFLOW_EXPECT(!lanes_.empty(), "CollectorStage requires lanes");
     for (auto* l : lanes_) {
       CDSFLOW_EXPECT(l != nullptr, "CollectorStage lane is null");
+      l->bind_reader(*this);
     }
+    out_.bind_writer(*this);
   }
 
   bool step(Cycle now) override {

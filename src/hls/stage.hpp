@@ -16,7 +16,9 @@
 /// Results commit to the output stream strictly in order; a full output
 /// stream back-pressures the stage exactly as a full FIFO stalls an HLS
 /// pipeline. Every stage counts busy cycles and can record its activity in a
-/// sim::Trace for the figure benches.
+/// sim::Trace for the figure benches. Each constructor declares the stage's
+/// input streams (bind_reader) and output streams (bind_writer), which is
+/// how the scheduler knows whom a push or pop wakes (sim/simulation.hpp).
 ///
 /// The primitives:
 ///   SourceStage     memory/input side: emits a prepared token sequence
@@ -115,7 +117,9 @@ class SourceStage final : public StageBase {
       : StageBase(std::move(name), timing, tokens.size(), trace),
         out_(out),
         tokens_(std::move(tokens)),
-        pace_(std::move(pace)) {}
+        pace_(std::move(pace)) {
+    out_.bind_writer(*this);
+  }
 
   bool step(Cycle now) override {
     if (idx_ >= tokens_.size()) return false;
@@ -174,6 +178,7 @@ class SinkStage final : public StageBase {
   SinkStage(std::string name, Channel<T>& in, std::uint64_t expected,
             StageTiming timing, sim::Trace* trace = nullptr)
       : StageBase(std::move(name), timing, expected, trace), in_(in) {
+    in_.bind_reader(*this);
     collected_.reserve(static_cast<std::size_t>(expected));
   }
 
@@ -239,6 +244,8 @@ class MapStage final : public StageBase {
         kernel_(std::move(kernel)),
         work_(std::move(work)) {
     CDSFLOW_EXPECT(kernel_ != nullptr, "MapStage requires a kernel");
+    in_.bind_reader(*this);
+    out_.bind_writer(*this);
   }
 
   bool step(Cycle now) override {
@@ -329,6 +336,8 @@ class ExpandStage final : public StageBase {
         out_(out),
         kernel_(std::move(kernel)) {
     CDSFLOW_EXPECT(kernel_ != nullptr, "ExpandStage requires a kernel");
+    in_.bind_reader(*this);
+    out_.bind_writer(*this);
   }
 
   bool step(Cycle now) override {
@@ -425,6 +434,8 @@ class ReduceStage final : public StageBase {
         is_last_(std::move(is_last)) {
     CDSFLOW_EXPECT(update_ && finish_ && is_last_,
                    "ReduceStage requires update/finish/is_last");
+    in_.bind_reader(*this);
+    out_.bind_writer(*this);
   }
 
   bool step(Cycle now) override {
@@ -510,13 +521,15 @@ class ZipStage final : public StageBase {
         kernel_(std::move(kernel)) {
     CDSFLOW_EXPECT(kernel_ != nullptr, "ZipStage requires a kernel");
     std::apply(
-        [](auto*... c) {
-          auto check = [](const auto* p) {
+        [this](auto*... c) {
+          auto bind = [this](auto* p) {
             CDSFLOW_EXPECT(p != nullptr, "ZipStage input channel is null");
+            p->bind_reader(*this);
           };
-          (check(c), ...);
+          (bind(c), ...);
         },
         ins_);
+    out_.bind_writer(*this);
   }
 
   bool step(Cycle now) override {
@@ -624,8 +637,10 @@ class BroadcastStage final : public StageBase {
         in_(in),
         outs_(std::move(outs)) {
     CDSFLOW_EXPECT(!outs_.empty(), "BroadcastStage requires outputs");
+    in_.bind_reader(*this);
     for (auto* c : outs_) {
       CDSFLOW_EXPECT(c != nullptr, "BroadcastStage output channel is null");
+      c->bind_writer(*this);
     }
   }
 

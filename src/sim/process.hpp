@@ -3,29 +3,44 @@
 ///
 /// A Process models one concurrently executing hardware entity (an HLS
 /// dataflow function, a memory port, a scheduler...). The Simulation drives
-/// every process with a cooperative step/next_wake protocol:
+/// processes with a cooperative step/next_wake protocol and steps a process
+/// only when something can have changed for it:
 ///
 ///  * step(now)      — attempt to make progress at cycle `now`. Must return
 ///                     true iff observable state changed (a token moved, an
-///                     internal phase advanced). The scheduler keeps
-///                     re-stepping all processes within a cycle until
-///                     everything is quiescent, so same-cycle producer ->
-///                     consumer hand-off works regardless of step order.
+///                     internal phase advanced). A process that progressed
+///                     is stepped again in the same cycle, so multi-step
+///                     progress within a cycle works.
 ///  * next_wake(now) — the earliest cycle strictly after `now` at which the
 ///                     process could make progress *on its own* (e.g. a
 ///                     pipeline result completing). Return kNoWake when only
 ///                     channel activity from another process can unblock it;
 ///                     if every live process says kNoWake the system is
-///                     deadlocked and the scheduler reports it.
+///                     deadlocked and the scheduler reports it. The value
+///                     must depend only on the process's own state and the
+///                     channels it declared, and every self-driven condition
+///                     must have the form `X > now` -- the scheduler caches
+///                     the answer until that cycle or until a declared
+///                     channel moves.
 ///  * done()         — the process has finished all the work it will ever do.
+///
+/// Declared endpoints: a process must declare, in its constructor, every
+/// channel it pops (Channel::bind_reader) and every channel it pushes
+/// (Channel::bind_writer). A push wakes the channel's reader and a pop wakes
+/// its writer; that is the only way a blocked process learns it can move.
+/// Moving a token through a simulation-owned channel without declaring it is
+/// an error (Simulation::run throws), never a silently late wake-up.
 
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "sim/cycle.hpp"
 
 namespace cdsflow::sim {
+
+class Simulation;
 
 class Process {
  public:
@@ -50,8 +65,17 @@ class Process {
   /// mention which channel they are blocked on.
   virtual std::string describe_state() const { return done() ? "done" : "running"; }
 
+  /// Queues this process to be stepped in the current cycle of its
+  /// Simulation's run (channels call it on push/pop). A no-op before the
+  /// process joins a Simulation and outside Simulation::run.
+  void wake();
+
  private:
+  friend class Simulation;
+
   std::string name_;
+  Simulation* sim_ = nullptr;
+  std::size_t index_ = 0;  ///< registration order within sim_
 };
 
 }  // namespace cdsflow::sim

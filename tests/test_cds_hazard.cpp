@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cds/hazard.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "workload/scenario.hpp"
 
 namespace cdsflow::cds {
 namespace {
@@ -97,16 +101,22 @@ TEST(Hazard, SurvivalBoundsAndMonotonicity) {
 
 // --- Listing 1 agreement ------------------------------------------------------
 
-TEST(Listing1, AgreesWithInOrderSummation) {
+/// 257 random knots (deliberately not a multiple of 7).
+TermStructure random_257_knot_hazard() {
   Rng rng(5);
   std::vector<double> times, values;
   double t_acc = 0.0;
-  for (int i = 0; i < 257; ++i) {  // deliberately not a multiple of 7
+  for (int i = 0; i < 257; ++i) {
     t_acc += rng.uniform(0.01, 0.1);
     times.push_back(t_acc);
     values.push_back(rng.uniform(0.001, 0.2));
   }
-  const TermStructure hz(times, values);
+  return TermStructure(std::move(times), std::move(values));
+}
+
+TEST(Listing1, AgreesWithInOrderSummation) {
+  const TermStructure hz = random_257_knot_hazard();
+  const double t_acc = hz.max_time();
   for (double t = 0.0; t < t_acc * 1.1; t += t_acc / 17.0) {
     const double a = integrated_hazard(hz, t);
     const double b = integrated_hazard_listing1(hz, t, 7);
@@ -124,6 +134,80 @@ TEST(Listing1, LaneCountInvariance) {
               1e-14)
         << "lanes=" << lanes;
   }
+}
+
+/// The hardware's formulation: a fixed-bound scan over every knot's
+/// contribution (`elements`, in knot order), each added into
+/// partial[j % lanes], partials folded in lane order, then the
+/// extrapolation tail.
+double listing1_full_scan(const TermStructure& hz,
+                          const std::vector<double>& elements, double t,
+                          unsigned lanes) {
+  std::vector<double> partial(lanes, 0.0);
+  for (std::size_t j = 0; j < elements.size(); ++j) {
+    partial[j % lanes] += elements[j];
+  }
+  double acc = 0.0;
+  for (unsigned j = 0; j < lanes; ++j) acc += partial[j];
+  const double tail =
+      t > hz.max_time() ? hz.values().back() * (t - hz.max_time()) : 0.0;
+  return acc + tail;
+}
+
+/// Bitwise comparison of integrated_hazard_listing1 against the full scan
+/// for lanes 1..11 at every t; reports the first mismatch.
+void expect_listing1_bits(const TermStructure& hz,
+                          const std::vector<double>& ts, const char* curve) {
+  std::size_t mismatches = 0;
+  std::string first;
+  std::vector<double> elements(hz.size());
+  for (const double t : ts) {
+    for (std::size_t j = 0; j < hz.size(); ++j) {
+      elements[j] = hazard_element_contribution(hz, j, t);
+    }
+    for (unsigned lanes = 1; lanes <= 11; ++lanes) {
+      const double got = integrated_hazard_listing1(hz, t, lanes);
+      const double want = listing1_full_scan(hz, elements, t, lanes);
+      if (std::bit_cast<std::uint64_t>(got) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        if (mismatches++ == 0) {
+          first = "t=" + std::to_string(t) + " lanes=" +
+                  std::to_string(lanes);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << curve << ": first mismatch at " << first;
+}
+
+/// Every knot, every knot midpoint, 0, beyond the last knot, and 10k seeded
+/// uniform draws over [0, 1.2 * last knot].
+std::vector<double> listing1_probe_times(const TermStructure& hz) {
+  std::vector<double> ts{0.0};
+  for (std::size_t j = 0; j < hz.size(); ++j) {
+    ts.push_back(hz.time(j));
+    const double prev = j == 0 ? 0.0 : hz.time(j - 1);
+    ts.push_back(0.5 * (prev + hz.time(j)));
+  }
+  const double last = hz.max_time();
+  for (const double beyond : {std::nextafter(last, 2.0 * last), last + 0.25,
+                              1.5 * last, 4.0 * last}) {
+    ts.push_back(beyond);
+  }
+  Rng rng(20211);
+  for (int i = 0; i < 10000; ++i) ts.push_back(rng.uniform(0.0, 1.2 * last));
+  return ts;
+}
+
+TEST(Listing1, BitIdenticalToFullScanOnPaperCurve) {
+  const TermStructure hz = workload::paper_scenario(1, 42).hazard;
+  ASSERT_EQ(hz.size(), 1024u);
+  expect_listing1_bits(hz, listing1_probe_times(hz), "1024-knot paper curve");
+}
+
+TEST(Listing1, BitIdenticalToFullScanOn257KnotCurve) {
+  const TermStructure hz = random_257_knot_hazard();
+  expect_listing1_bits(hz, listing1_probe_times(hz), "257-knot curve");
 }
 
 TEST(Listing1, RejectsZeroLanes) {

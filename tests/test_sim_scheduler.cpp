@@ -14,7 +14,9 @@ namespace {
 class TickSource final : public Process {
  public:
   TickSource(std::string name, Channel<int>& out, int count, Cycle period)
-      : Process(std::move(name)), out_(out), count_(count), period_(period) {}
+      : Process(std::move(name)), out_(out), count_(count), period_(period) {
+    out_.bind_writer(*this);
+  }
 
   bool step(Cycle now) override {
     if (emitted_ >= count_ || now < next_ || !out_.can_push()) return false;
@@ -40,7 +42,9 @@ class TickSource final : public Process {
 class Drain final : public Process {
  public:
   Drain(std::string name, Channel<int>& in, int count)
-      : Process(std::move(name)), in_(in), count_(count) {}
+      : Process(std::move(name)), in_(in), count_(count) {
+    in_.bind_reader(*this);
+  }
 
   bool step(Cycle) override {
     if (received_ >= count_ || !in_.can_pop()) return false;

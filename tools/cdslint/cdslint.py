@@ -34,12 +34,20 @@ the CI lint job. Rules:
                      tracked BENCH_*.json must be produced by the CI bench
                      job -- so a renamed key or dropped bench shows up as a
                      lint failure, not as a silently empty trajectory.
+  sim-endpoints      Every sim::Process / hls::StageBase subclass under
+                     src/ that holds a Channel (or Stream) reference or
+                     pointer -- directly, or in a vector/tuple of pointers
+                     -- must declare it with bind_reader / bind_writer.
+                     The scheduler wakes a process only through its
+                     declared channels (src/sim/simulation.hpp), so an
+                     undeclared one would make it wake late.
 
 Usage:
   cdslint.py <repo-root>     lint a tree (exit 1 on violations)
   cdslint.py --self-test     run every rule against its seeded-violation
-                             fixture tree (exit 1 when a rule fails to fire
-                             or fires for the wrong reason)
+                             fixture tree (exit 1 when a rule fails to fire,
+                             fires for the wrong reason, or flags a file
+                             named good_* -- a fixture's clean counterpart)
 
 No third-party dependencies; regex/token level on purpose (no compiler or
 clang python bindings needed in CI).
@@ -417,6 +425,103 @@ def rule_bench_json_keys(root: Path):
 
 
 # --------------------------------------------------------------------------
+# rule: sim-endpoints
+
+PROCESS_CLASS = re.compile(
+    r"\b(?:class|struct)\s+(\w+)(?:\s+final)?\s*:([^{;]*)\{")
+PROCESS_BASE = re.compile(r"\b(?:sim::|hls::)?(?:Process|StageBase)\b")
+CHANNEL_TYPE = re.compile(r"\b(?:Channel|Stream|ChannelBase)\b")
+MEMBER_NAME = re.compile(r"(\w+)\s*;\s*$")
+
+
+def matching(text: str, start: int, open_ch: str, close_ch: str) -> int:
+    """Index just past the bracket that closes text[start] (an opener)."""
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == open_ch:
+            depth += 1
+        elif text[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return len(text)
+
+
+def top_level_statements(body: str):
+    """The class body's own statements (member declarations), with nested
+    brace blocks -- member function bodies, initialisers -- removed."""
+    flat, depth = [], 0
+    for c in body:
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth -= 1
+            flat.append(";")
+        elif depth == 0:
+            flat.append(c)
+    for stmt in "".join(flat).split(";"):
+        yield " ".join(stmt.split()) + ";"
+
+
+def channel_members(body: str):
+    members = []
+    for stmt in top_level_statements(body):
+        if not CHANNEL_TYPE.search(stmt) or "(" in stmt or "=" in stmt:
+            continue
+        if "&" not in stmt and "*" not in stmt:
+            continue
+        m = MEMBER_NAME.search(stmt)
+        if m:
+            members.append(m.group(1))
+    return members
+
+
+def declares(body: str, member: str) -> bool:
+    """True when `member` is bound: a direct bind_* call on it, a range-for
+    over it whose body binds, or a std::apply over it whose lambda binds."""
+    name = re.escape(member)
+    if re.search(rf"\b{name}\s*(?:\.|->)\s*bind_(?:reader|writer)\s*\(",
+                 body):
+        return True
+    for m in re.finditer(rf"\bfor\s*\([^;{{}}]*:\s*{name}\s*\)", body):
+        rest = body[m.end():].lstrip()
+        end = (matching(body, body.index("{", m.end()), "{", "}")
+               if rest.startswith("{") else body.find(";", m.end()))
+        if re.search(r"\bbind_(?:reader|writer)\s*\(", body[m.end():end]):
+            return True
+    for m in re.finditer(r"\bstd::apply\s*\(", body):
+        call = body[m.end() - 1:matching(body, m.end() - 1, "(", ")")]
+        if (re.search(rf",\s*{name}\s*\)$", call)
+                and re.search(r"\bbind_(?:reader|writer)\s*\(", call)):
+            return True
+    return False
+
+
+def rule_sim_endpoints(root: Path):
+    src = root / "src"
+    if not src.is_dir():
+        return []
+    violations = []
+    for path in sorted(src.rglob("*.[hc]pp")):
+        text = strip_cpp(read(path))
+        for m in PROCESS_CLASS.finditer(text):
+            if not PROCESS_BASE.search(m.group(2)):
+                continue
+            open_at = m.end() - 1
+            body = text[open_at + 1:matching(text, open_at, "{", "}") - 1]
+            lineno = text.count("\n", 0, m.start()) + 1
+            for member in channel_members(body):
+                if not declares(body, member):
+                    violations.append(Violation(
+                        "sim-endpoints", path, lineno,
+                        f"{m.group(1)} holds channel member '{member}' but "
+                        "never declares it with bind_reader/bind_writer; "
+                        "the scheduler wakes a process only through its "
+                        "declared channels"))
+    return violations
+
+
+# --------------------------------------------------------------------------
 # driver
 
 RULES = {
@@ -425,6 +530,7 @@ RULES = {
     "codec-bounds": rule_codec_bounds,
     "float-in-cds": rule_float_in_cds,
     "bench-json-keys": rule_bench_json_keys,
+    "sim-endpoints": rule_sim_endpoints,
 }
 
 
@@ -454,6 +560,11 @@ def self_test() -> int:
             hits = [v for v in violations if v.rule == rule_name]
             print(f"self-test: {rule_name}: OK "
                   f"({len(hits)} violation(s) detected)")
+        for v in violations:
+            if Path(v.path).name.startswith("good_"):
+                print(f"self-test: {v.rule} flagged the clean counterpart "
+                      f"{v.path}:{v.line}")
+                failures += 1
         unexpected = fired - {rule_name}
         if unexpected:
             print(f"self-test: fixture {tree} also tripped {unexpected}; "
